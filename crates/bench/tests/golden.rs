@@ -13,12 +13,56 @@
 //!
 //! and commit the rewritten files — the diff *is* the review artifact.
 
+use capchecker::{run_adaptive_campaign, AdaptConfig, CampaignConfig};
+use capcheri_bench::adapt::{reports_to_json, AdaptBenchReport};
 use capcheri_bench::{
     fig10, fig11, fig12, fig7, fig8, fig9, flowreport, staticreport, table1, table2, table3,
 };
+use machsuite::Benchmark;
 use obs::json::JsonWriter;
 use std::fs;
 use std::path::PathBuf;
+
+/// `simulate conformance --seed 11 --ops 10000 --json`: a stream long
+/// enough to corrupt the cache and degrade the checker.
+fn conformance_report() -> String {
+    conformance::run_conformance(11, 10_000).to_json()
+}
+
+/// `simulate verify --depth 6 --tasks 2 --objects 3 --json`.
+fn modelcheck_report(threads: usize) -> String {
+    let cfg = capcheri_mc::ExploreConfig {
+        threads,
+        ..capcheri_mc::ExploreConfig::new(6)
+    };
+    capcheri_mc::to_json(&cfg, &capcheri_mc::explore(cfg))
+}
+
+/// `simulate adapt campaign --epochs 8 --seed 3 --spec cache-corrupt:0.3
+/// --json`: stall-up, cache-degrade, cache-repromote and stall-down, so
+/// every checker rebuild path runs.
+fn adapt_campaign_report() -> String {
+    let config = CampaignConfig {
+        seed: 3,
+        spec: "cache-corrupt:0.3".parse().expect("valid fault spec"),
+        ..CampaignConfig::default()
+    };
+    run_adaptive_campaign(&config, &AdaptConfig::default())
+        .expect("the campaign runs")
+        .to_json()
+}
+
+/// `simulate adapt spmv_crs --epochs 6 --seed 3 --json`: a mode switch
+/// plus segment re-install, with hit, miss and elided counters.
+fn adapt_spmv_report() -> String {
+    reports_to_json(&[AdaptBenchReport::collect(
+        Benchmark::SpmvCrs,
+        6,
+        1,
+        3,
+        AdaptConfig::default(),
+    )])
+}
 
 /// Every pinned artifact: `(name, kind, report at `threads`)`. Tables
 /// have no parallel path and ignore the thread count.
@@ -39,6 +83,10 @@ fn artifacts(threads: usize) -> Vec<(&'static str, &'static str, String)> {
         ("table1", "table", table1::report()),
         ("table2", "table", table2::report()),
         ("table3", "table", table3::report()),
+        ("conformance", "report", conformance_report()),
+        ("modelcheck", "report", modelcheck_report(threads)),
+        ("adapt_campaign", "report", adapt_campaign_report()),
+        ("adapt_spmv", "report", adapt_spmv_report()),
     ]
 }
 
