@@ -658,11 +658,7 @@ impl WorkRatio {
     /// Changed units as a percentage of all units (0 when empty).
     #[must_use]
     pub fn pct(&self) -> u64 {
-        if self.units == 0 {
-            0
-        } else {
-            self.changed * 100 / self.units
-        }
+        (self.changed * 100).checked_div(self.units).unwrap_or(0)
     }
 }
 
@@ -699,7 +695,7 @@ pub fn churn_grants(ops: &[Op]) -> Vec<Op> {
     for op in &mut out {
         if let Op::Grant { len, .. } = op {
             nth += 1;
-            if nth % 5 == 0 {
+            if nth.is_multiple_of(5) {
                 *len = (*len / 2).max(8);
             }
         }

@@ -45,7 +45,7 @@ pub use flow::{
     analyze_flow, churn_grants, reanalysis_work, Barrier, FlowAnalysis, IncrementalAnalyzer,
     SegmentPair, SegmentReport, WorkRatio,
 };
-pub use lint::{lint_paths, lint_source, LintFinding};
+pub use lint::{lint_paths, lint_source, LintFinding, HOT_PATH_FILES};
 pub use provenance::{GrantNode, InstalledGrant, ProvenanceLattice};
 pub use stream::{analyze_stream, PairSummary, StreamAnalysis};
 

@@ -3,7 +3,7 @@
 //! that never fires is indistinguishable from no lint — the fixture is
 //! the existence proof.
 
-use capcheri_analyze::{lint_paths, lint_source};
+use capcheri_analyze::{lint_paths, lint_source, HOT_PATH_FILES};
 use std::path::Path;
 
 const PLANTED: &str = include_str!("fixtures/planted_hazards.rs.txt");
@@ -49,6 +49,19 @@ fn fixture_hazards_are_path_sensitive() {
     assert!(rules.contains(&"nd-unordered-reduction"));
     assert!(rules.contains(&"nd-hashmap-iter"));
     assert!(rules.contains(&"unsafe-audit"));
+}
+
+#[test]
+fn every_hot_path_file_exists() {
+    // The panic rule matches by path, so a moved or deleted file would
+    // leave it guarding nothing without a single finding changing.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    for file in HOT_PATH_FILES {
+        assert!(
+            root.join(file).is_file(),
+            "hot-path lint lists {file}, which does not exist"
+        );
+    }
 }
 
 #[test]

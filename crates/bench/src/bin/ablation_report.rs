@@ -3,8 +3,8 @@
 //! table, and shared vs per-accelerator checker area.
 
 use capchecker::{
-    CachedCapChecker, CachedCheckerConfig, CapChecker, CheckerConfig, HeteroSystem,
-    ProtectionChoice, SystemConfig, TaskRequest,
+    CachedCheckerConfig, CapChecker, CheckerConfig, HeteroSystem, ProtectionChoice, SystemConfig,
+    TaskRequest,
 };
 use capcheri_bench::render::{pct, table};
 use hetsim::timing::{simulate_accel_system, AccelTask, AccelTimingConfig, BusConfig};
@@ -104,7 +104,7 @@ fn fixed_vs_cached() -> String {
             .unwrap()
     };
     let mut fixed = CapChecker::new(CheckerConfig::fine());
-    let mut cached = CachedCapChecker::new(CachedCheckerConfig::default());
+    let mut cached = CapChecker::cached(CachedCheckerConfig::default());
     let mut fixed_stalls = 0u64;
     for t in 0..64u32 {
         for o in 0..5u16 {
@@ -137,7 +137,7 @@ fn fixed_vs_cached() -> String {
             format!(
                 "{:.1} cy effective ({} hot-set hit rate)",
                 cached.effective_latency(),
-                pct(1.0 - cached.cache_stats().miss_ratio())
+                pct(1.0 - cached.cache_stats().map_or(0.0, |s| s.miss_ratio()))
             ),
         ],
     ];

@@ -2,7 +2,7 @@
 //! and costs it with the timing models.
 
 use capchecker::{
-    CacheStats, CachedCheckerConfig, CheckAttribution, HeteroSystem, ProtectionChoice,
+    CacheStats, CachedCheckerConfig, CapChecker, CheckAttribution, HeteroSystem, ProtectionChoice,
     StaticVerdictMap, SystemVariant, TaskRequest,
 };
 use capcheri_analyze::{analyze_benchmark, declared_perms, BenchAnalysis};
@@ -502,7 +502,7 @@ fn run_inner(
     // path (evictions, register clears, scrub). Cycles were already
     // costed from the traces, so this cannot perturb the results.
     let attribution = sys.check_attribution().cloned();
-    let cache = sys.cached_checker().map(|c| c.cache_stats());
+    let cache = sys.checker().and_then(CapChecker::cache_stats);
     for id in ids {
         sys.deallocate_task(id).expect("task is live");
     }

@@ -37,7 +37,7 @@ fn planted_cross_tenant_grant_shrinks_to_the_single_culprit() {
         untagged: false,
     };
     let at = ops.len() / 2;
-    ops.insert(at, planted.clone());
+    ops.insert(at, planted);
     assert!(trips_cross_tenant(&ops), "planted grant was not caught");
     // ddmin reduces the whole driver stream to the one hostile grant.
     let minimal = shrink(&ops, &trips_cross_tenant);

@@ -20,8 +20,8 @@
 //!    bytes) and the checker's cached images could drift apart.
 //!
 //! The differential harness leans on obligation 1: its oracle records
-//! uncompressed bounds while `CachedCapChecker` enforces the decoded
-//! cached image, and the two only coincide because this module holds.
+//! uncompressed bounds while a cache-backed `CapChecker` enforces the
+//! decoded cached image, and the two only coincide because this module holds.
 
 use cheri::{compressed, Capability, CompressedCapability, Perms};
 use rand::rngs::SmallRng;

@@ -4,34 +4,35 @@
 //!
 //! ## Subjects
 //!
-//! Three production paths are wrapped as [`Subject`]s:
+//! Every production path is the one [`CapChecker`] front end over one of
+//! its two capability stores, wrapped as a [`CheckerSubject`]:
 //!
-//! * [`UncachedSubject`] — the fixed-table [`CapChecker`];
-//! * [`CachedSubject`] — the [`CachedCapChecker`], with its sanctioned
+//! * [`CheckerSubject::uncached`] — over the fixed table;
+//! * [`CheckerSubject::cached`] — over the cache, with its sanctioned
 //!   fail-stop reconciled (see below);
-//! * [`DegradingSubject`] — the recovery path: starts cached, degrades
-//!   to a fresh uncached checker (re-granting every live capability,
+//! * [`CheckerSubject::degrading`] — the recovery path: starts cached,
+//!   degrades to the fixed table (re-granting every live capability,
 //!   mirroring `HeteroSystem::degrade_to_uncached`) on the first
 //!   corruption detection *or* unconditionally at a fixed operation
-//!   index, so every seed exercises both halves of the path.
+//!   index, so every seed exercises both halves of the path;
+//! * [`CheckerSubject::elided`] / [`CheckerSubject::elided_cached`] —
+//!   either store with a static verdict map installed.
 //!
 //! ## Fail-stop reconciliation
 //!
-//! Injected cache corruption makes the cached checker *deny* with
+//! Injected cache corruption makes a cache-backed checker *deny* with
 //! [`DenyReason::InvalidTag`] and bump its corruption counter — that is
 //! its specified fail-stop, not a bug. The harness classifies such a
 //! denial (reason `InvalidTag` **and** counter increment) as a
 //! `fail_stop`, re-issues the check once (the corrupt line has been
-//! dropped, so the retry consults the backing store), and diffs the
+//! dropped, so the retry consults the backing store — or, on the
+//! degrading path, the fixed table it just degraded to), and diffs the
 //! retry's verdict. An `InvalidTag` denial *without* a counter increment
 //! is a real divergence.
 
 use crate::oracle::{Oracle, Verdict};
 use crate::stream::{self, Op};
-use capchecker::{
-    sweep_revoked, CachedCapChecker, CachedCheckerConfig, CapChecker, CheckerConfig,
-    StaticVerdictMap,
-};
+use capchecker::{sweep_revoked, CachedCheckerConfig, CapChecker, CheckerConfig, StaticVerdictMap};
 use cheri::{CapFault, Capability, Perms};
 use hetsim::{Access, DenyReason, MasterId, ObjectId, TaggedMemory, TaskId};
 use ioprotect::{GrantError, IoProtection};
@@ -85,98 +86,128 @@ pub trait Subject {
     }
 }
 
-/// The fixed-table checker, verbatim.
+/// A Fine-mode [`CapChecker`] under differential test: the fixed
+/// 256-entry table or the default 16-line cache, optionally with a
+/// static verdict map installed, optionally degrading from the cache to
+/// the table mid-stream.
+///
+/// An elided subject is how an analyzer result gets *proved* rather than
+/// trusted: pairs the map marks safe skip the per-beat check and answer
+/// `Granted` unchecked, and the harness diffs every one of those answers
+/// against the oracle. An unsound map — one that marks a pair safe whose
+/// stream contains a denial — shows up as an ordinary divergence.
+/// Elided accesses never touch the cache, so they are immune to injected
+/// corruption — itself a differential fact the oracle confirms.
 #[derive(Debug)]
-pub struct UncachedSubject {
+pub struct CheckerSubject {
+    name: &'static str,
     checker: CapChecker,
+    /// Degrading subjects only: degrade before this op index if no
+    /// corruption forced it earlier.
+    degrade_after: Option<u64>,
+    degraded_at: Option<u64>,
+    current_op: u64,
     expected_flag: bool,
 }
 
-impl UncachedSubject {
-    /// A Fine-mode checker with the paper's 256-entry table.
-    #[must_use]
-    pub fn new() -> UncachedSubject {
-        UncachedSubject {
-            checker: CapChecker::new(CheckerConfig::fine()),
+impl CheckerSubject {
+    fn new(name: &'static str, checker: CapChecker) -> CheckerSubject {
+        CheckerSubject {
+            name,
+            checker,
+            degrade_after: None,
+            degraded_at: None,
+            current_op: 0,
             expected_flag: false,
         }
     }
-}
 
-impl Default for UncachedSubject {
-    fn default() -> UncachedSubject {
-        UncachedSubject::new()
-    }
-}
-
-impl Subject for UncachedSubject {
-    fn name(&self) -> &'static str {
-        "CapChecker"
+    /// `CapChecker`: the fixed table, verbatim.
+    #[must_use]
+    pub fn uncached() -> CheckerSubject {
+        CheckerSubject::new("CapChecker", CapChecker::new(CheckerConfig::fine()))
     }
 
-    fn grant(
-        &mut self,
-        task: TaskId,
-        object: ObjectId,
-        cap: &Capability,
-    ) -> Result<(), GrantError> {
-        IoProtection::grant(&mut self.checker, task, object, cap)
+    /// `CachedCapChecker`: the cache store.
+    #[must_use]
+    pub fn cached() -> CheckerSubject {
+        CheckerSubject::new(
+            "CachedCapChecker",
+            CapChecker::cached(CachedCheckerConfig::default()),
+        )
     }
 
-    fn revoke_task(&mut self, task: TaskId) {
-        IoProtection::revoke_task(&mut self.checker, task);
+    /// `DegradedPath`: starts cached; unconditionally degrades before op
+    /// `degrade_after` even if no corruption is ever detected, so both
+    /// halves of the path run under every seed.
+    #[must_use]
+    pub fn degrading(degrade_after: u64) -> CheckerSubject {
+        CheckerSubject {
+            degrade_after: Some(degrade_after),
+            ..CheckerSubject::new(
+                "DegradedPath",
+                CapChecker::cached(CachedCheckerConfig::default()),
+            )
+        }
     }
 
-    fn check(&mut self, access: &Access) -> Checked {
-        let verdict = match self.checker.check(access) {
+    /// `CapChecker+elide`: the fixed table with `map` installed.
+    #[must_use]
+    pub fn elided(map: StaticVerdictMap) -> CheckerSubject {
+        let mut subject = CheckerSubject::uncached();
+        subject.checker.set_static_verdicts(map);
+        subject.name = "CapChecker+elide";
+        subject
+    }
+
+    /// `CachedCapChecker+elide`: the cache store with `map` installed.
+    #[must_use]
+    pub fn elided_cached(map: StaticVerdictMap) -> CheckerSubject {
+        let mut subject = CheckerSubject::cached();
+        subject.checker.set_static_verdicts(map);
+        subject.name = "CachedCapChecker+elide";
+        subject
+    }
+
+    /// Swaps the cache for a fresh fixed table holding every live
+    /// capability, in `(task, object)` order.
+    fn degrade(&mut self, at: u64) {
+        let mut replacement = CapChecker::new(*self.checker.config());
+        for (task, object, cap) in self.checker.snapshot().entries {
+            IoProtection::grant(&mut replacement, task, object, &cap)
+                .expect("live capabilities fit the replacement table");
+        }
+        self.checker = replacement;
+        self.degraded_at = Some(at);
+        // The replacement checker starts with a clear exception flag.
+        self.expected_flag = false;
+    }
+
+    fn degrades_pending(&self) -> bool {
+        self.degrade_after.is_some() && self.degraded_at.is_none()
+    }
+
+    fn judge(&mut self, access: &Access) -> Verdict {
+        match self.checker.check(access) {
             Ok(()) => Verdict::Granted,
             Err(denial) => {
                 self.expected_flag = true;
                 Verdict::Denied(denial.reason)
             }
-        };
-        Checked {
-            verdict,
-            fail_stop: false,
-        }
-    }
-
-    fn exception_flag(&self) -> bool {
-        self.checker.exception_flag()
-    }
-
-    fn expected_exception_flag(&self) -> bool {
-        self.expected_flag
-    }
-}
-
-/// The cached checker with fail-stop reconciliation.
-#[derive(Debug)]
-pub struct CachedSubject {
-    checker: CachedCapChecker,
-    expected_flag: bool,
-}
-
-impl CachedSubject {
-    /// A cached Fine-mode checker with the default 16-entry cache.
-    #[must_use]
-    pub fn new() -> CachedSubject {
-        CachedSubject {
-            checker: CachedCapChecker::new(CachedCheckerConfig::default()),
-            expected_flag: false,
         }
     }
 }
 
-impl Default for CachedSubject {
-    fn default() -> CachedSubject {
-        CachedSubject::new()
-    }
-}
-
-impl Subject for CachedSubject {
+impl Subject for CheckerSubject {
     fn name(&self) -> &'static str {
-        "CachedCapChecker"
+        self.name
+    }
+
+    fn begin_op(&mut self, index: u64) {
+        self.current_op = index;
+        if self.degraded_at.is_none() && self.degrade_after.is_some_and(|n| index >= n) {
+            self.degrade(index);
+        }
     }
 
     fn grant(
@@ -204,378 +235,43 @@ impl Subject for CachedSubject {
                     && self.checker.corruption_detected() > before =>
             {
                 // Sanctioned fail-stop: the corrupt line was detected and
-                // dropped. The retry consults the intact backing store.
-                self.expected_flag = true;
-                let verdict = match self.checker.check(access) {
-                    Ok(()) => Verdict::Granted,
-                    Err(retry) => Verdict::Denied(retry.reason),
-                };
-                Checked {
-                    verdict,
-                    fail_stop: true,
-                }
-            }
-            Err(denial) => {
-                self.expected_flag = true;
-                Checked {
-                    verdict: Verdict::Denied(denial.reason),
-                    fail_stop: false,
-                }
-            }
-        }
-    }
-
-    fn corrupt_cache(&mut self, slot: u8, flip: u64, on_insert: bool) {
-        let flip = u128::from(flip) | (u128::from(flip) << 64);
-        if on_insert {
-            self.checker.corrupt_next_insert(flip);
-        } else {
-            let _hit = self.checker.corrupt_cache_slot(usize::from(slot), flip);
-        }
-    }
-
-    fn exception_flag(&self) -> bool {
-        self.checker.exception_flag()
-    }
-
-    fn expected_exception_flag(&self) -> bool {
-        self.expected_flag
-    }
-}
-
-/// The fixed-table checker running with a static verdict map installed.
-///
-/// This is how an analyzer result gets *proved* rather than trusted:
-/// pairs the map marks safe skip the per-beat check and answer
-/// `Granted` unchecked, and the harness diffs every one of those
-/// answers against the oracle. An unsound map — one that marks a pair
-/// safe whose stream contains a denial — shows up as an ordinary
-/// divergence.
-#[derive(Debug)]
-pub struct ElidedSubject {
-    checker: CapChecker,
-    expected_flag: bool,
-}
-
-impl ElidedSubject {
-    /// A Fine-mode checker with `map` installed.
-    #[must_use]
-    pub fn new(map: StaticVerdictMap) -> ElidedSubject {
-        let mut checker = CapChecker::new(CheckerConfig::fine());
-        checker.set_static_verdicts(map);
-        ElidedSubject {
-            checker,
-            expected_flag: false,
-        }
-    }
-}
-
-impl Subject for ElidedSubject {
-    fn name(&self) -> &'static str {
-        "CapChecker+elide"
-    }
-
-    fn grant(
-        &mut self,
-        task: TaskId,
-        object: ObjectId,
-        cap: &Capability,
-    ) -> Result<(), GrantError> {
-        IoProtection::grant(&mut self.checker, task, object, cap)
-    }
-
-    fn revoke_task(&mut self, task: TaskId) {
-        IoProtection::revoke_task(&mut self.checker, task);
-    }
-
-    fn check(&mut self, access: &Access) -> Checked {
-        let verdict = match self.checker.check(access) {
-            Ok(()) => Verdict::Granted,
-            Err(denial) => {
-                self.expected_flag = true;
-                Verdict::Denied(denial.reason)
-            }
-        };
-        Checked {
-            verdict,
-            fail_stop: false,
-        }
-    }
-
-    fn exception_flag(&self) -> bool {
-        self.checker.exception_flag()
-    }
-
-    fn expected_exception_flag(&self) -> bool {
-        self.expected_flag
-    }
-
-    fn checks_elided(&self) -> u64 {
-        self.checker.stats().elided
-    }
-
-    fn install_verdicts(&mut self, map: &StaticVerdictMap) {
-        self.checker.set_static_verdicts(map.clone());
-    }
-}
-
-/// The cached checker with a static verdict map installed (and the
-/// usual fail-stop reconciliation for the pairs that still hit the
-/// cache). Elided accesses never touch the cache, so they are immune to
-/// injected corruption — which is itself a differential fact the oracle
-/// confirms: the verdict stays `Granted` either way.
-#[derive(Debug)]
-pub struct ElidedCachedSubject {
-    checker: CachedCapChecker,
-    expected_flag: bool,
-}
-
-impl ElidedCachedSubject {
-    /// A cached Fine-mode checker with `map` installed.
-    #[must_use]
-    pub fn new(map: StaticVerdictMap) -> ElidedCachedSubject {
-        let mut checker = CachedCapChecker::new(CachedCheckerConfig::default());
-        checker.set_static_verdicts(map);
-        ElidedCachedSubject {
-            checker,
-            expected_flag: false,
-        }
-    }
-}
-
-impl Subject for ElidedCachedSubject {
-    fn name(&self) -> &'static str {
-        "CachedCapChecker+elide"
-    }
-
-    fn grant(
-        &mut self,
-        task: TaskId,
-        object: ObjectId,
-        cap: &Capability,
-    ) -> Result<(), GrantError> {
-        IoProtection::grant(&mut self.checker, task, object, cap)
-    }
-
-    fn revoke_task(&mut self, task: TaskId) {
-        IoProtection::revoke_task(&mut self.checker, task);
-    }
-
-    fn check(&mut self, access: &Access) -> Checked {
-        let before = self.checker.corruption_detected();
-        match self.checker.check(access) {
-            Ok(()) => Checked {
-                verdict: Verdict::Granted,
-                fail_stop: false,
-            },
-            Err(denial)
-                if denial.reason == DenyReason::InvalidTag
-                    && self.checker.corruption_detected() > before =>
-            {
-                self.expected_flag = true;
-                let verdict = match self.checker.check(access) {
-                    Ok(()) => Verdict::Granted,
-                    Err(retry) => Verdict::Denied(retry.reason),
-                };
-                Checked {
-                    verdict,
-                    fail_stop: true,
-                }
-            }
-            Err(denial) => {
-                self.expected_flag = true;
-                Checked {
-                    verdict: Verdict::Denied(denial.reason),
-                    fail_stop: false,
-                }
-            }
-        }
-    }
-
-    fn corrupt_cache(&mut self, slot: u8, flip: u64, on_insert: bool) {
-        let flip = u128::from(flip) | (u128::from(flip) << 64);
-        if on_insert {
-            self.checker.corrupt_next_insert(flip);
-        } else {
-            let _hit = self.checker.corrupt_cache_slot(usize::from(slot), flip);
-        }
-    }
-
-    fn exception_flag(&self) -> bool {
-        self.checker.exception_flag()
-    }
-
-    fn expected_exception_flag(&self) -> bool {
-        self.expected_flag
-    }
-
-    fn checks_elided(&self) -> u64 {
-        self.checker.cache_stats().elided
-    }
-
-    fn install_verdicts(&mut self, map: &StaticVerdictMap) {
-        self.checker.set_static_verdicts(map.clone());
-    }
-}
-
-/// The recovery path: cached until corruption is detected (or a forced
-/// midpoint), then degraded to a fresh uncached checker with every live
-/// capability re-granted — mirroring `HeteroSystem::degrade_to_uncached`.
-#[derive(Debug)]
-pub struct DegradingSubject {
-    cached: Option<CachedCapChecker>,
-    fixed: Option<CapChecker>,
-    /// Live grants, replayed into the replacement checker on
-    /// degradation. `BTreeMap` so the re-grant order is deterministic.
-    live: BTreeMap<(u32, u16), Capability>,
-    base: CheckerConfig,
-    degrade_after: u64,
-    degraded_at: Option<u64>,
-    current_op: u64,
-    expected_flag: bool,
-}
-
-impl DegradingSubject {
-    /// Starts cached; unconditionally degrades before op
-    /// `degrade_after` even if no corruption is ever detected, so both
-    /// halves of the path run under every seed.
-    #[must_use]
-    pub fn new(degrade_after: u64) -> DegradingSubject {
-        let config = CachedCheckerConfig::default();
-        DegradingSubject {
-            cached: Some(CachedCapChecker::new(config)),
-            fixed: None,
-            live: BTreeMap::new(),
-            base: config.base,
-            degrade_after,
-            degraded_at: None,
-            current_op: 0,
-            expected_flag: false,
-        }
-    }
-
-    fn degrade(&mut self, at: u64) {
-        let mut replacement = CapChecker::new(self.base);
-        for ((task, object), cap) in &self.live {
-            IoProtection::grant(&mut replacement, TaskId(*task), ObjectId(*object), cap)
-                .expect("live capabilities fit the replacement table");
-        }
-        self.cached = None;
-        self.fixed = Some(replacement);
-        self.degraded_at = Some(at);
-        // The replacement checker starts with a clear exception flag.
-        self.expected_flag = false;
-    }
-}
-
-impl Subject for DegradingSubject {
-    fn name(&self) -> &'static str {
-        "DegradedPath"
-    }
-
-    fn begin_op(&mut self, index: u64) {
-        self.current_op = index;
-        if self.cached.is_some() && index >= self.degrade_after {
-            self.degrade(index);
-        }
-    }
-
-    fn grant(
-        &mut self,
-        task: TaskId,
-        object: ObjectId,
-        cap: &Capability,
-    ) -> Result<(), GrantError> {
-        let result = match (&mut self.cached, &mut self.fixed) {
-            (Some(cached), _) => IoProtection::grant(cached, task, object, cap),
-            (None, Some(fixed)) => IoProtection::grant(fixed, task, object, cap),
-            (None, None) => unreachable!("one checker is always active"),
-        };
-        if result.is_ok() {
-            self.live.insert((task.0, object.0), *cap);
-        }
-        result
-    }
-
-    fn revoke_task(&mut self, task: TaskId) {
-        match (&mut self.cached, &mut self.fixed) {
-            (Some(cached), _) => IoProtection::revoke_task(cached, task),
-            (None, Some(fixed)) => IoProtection::revoke_task(fixed, task),
-            (None, None) => unreachable!("one checker is always active"),
-        }
-        self.live.retain(|(t, _), _| *t != task.0);
-    }
-
-    fn check(&mut self, access: &Access) -> Checked {
-        if let Some(cached) = &mut self.cached {
-            let before = cached.corruption_detected();
-            return match cached.check(access) {
-                Ok(()) => Checked {
-                    verdict: Verdict::Granted,
-                    fail_stop: false,
-                },
-                Err(denial)
-                    if denial.reason == DenyReason::InvalidTag
-                        && cached.corruption_detected() > before =>
-                {
-                    // First corruption detection: this is the recovery
-                    // path, so degrade now and re-judge on the
-                    // replacement checker.
-                    let at = self.current_op;
-                    self.degrade(at);
-                    let fixed = self.fixed.as_mut().expect("just degraded");
-                    let verdict = match fixed.check(access) {
-                        Ok(()) => Verdict::Granted,
-                        Err(retry) => {
-                            self.expected_flag = true;
-                            Verdict::Denied(retry.reason)
-                        }
-                    };
-                    Checked {
-                        verdict,
-                        fail_stop: true,
-                    }
-                }
-                Err(denial) => {
+                // dropped. The recovery path degrades now; either way the
+                // retry consults intact storage.
+                if self.degrades_pending() {
+                    self.degrade(self.current_op);
+                } else {
                     self.expected_flag = true;
-                    Checked {
-                        verdict: Verdict::Denied(denial.reason),
-                        fail_stop: false,
-                    }
                 }
-            };
-        }
-        let fixed = self.fixed.as_mut().expect("one checker is always active");
-        let verdict = match fixed.check(access) {
-            Ok(()) => Verdict::Granted,
+                Checked {
+                    verdict: self.judge(access),
+                    fail_stop: true,
+                }
+            }
             Err(denial) => {
                 self.expected_flag = true;
-                Verdict::Denied(denial.reason)
+                Checked {
+                    verdict: Verdict::Denied(denial.reason),
+                    fail_stop: false,
+                }
             }
-        };
-        Checked {
-            verdict,
-            fail_stop: false,
         }
     }
 
     fn corrupt_cache(&mut self, slot: u8, flip: u64, on_insert: bool) {
-        if let Some(cached) = &mut self.cached {
-            let flip = u128::from(flip) | (u128::from(flip) << 64);
-            if on_insert {
-                cached.corrupt_next_insert(flip);
-            } else {
-                let _hit = cached.corrupt_cache_slot(usize::from(slot), flip);
-            }
+        let flip = u128::from(flip) | (u128::from(flip) << 64);
+        if on_insert {
+            self.checker.corrupt_next_insert(flip);
+        } else {
+            let _hit = self.checker.corrupt_cache_slot(usize::from(slot), flip);
         }
     }
 
+    fn install_verdicts(&mut self, map: &StaticVerdictMap) {
+        self.checker.set_static_verdicts(map.clone());
+    }
+
     fn exception_flag(&self) -> bool {
-        match (&self.cached, &self.fixed) {
-            (Some(cached), _) => cached.exception_flag(),
-            (None, Some(fixed)) => fixed.exception_flag(),
-            (None, None) => unreachable!("one checker is always active"),
-        }
+        self.checker.exception_flag()
     }
 
     fn expected_exception_flag(&self) -> bool {
@@ -584,6 +280,10 @@ impl Subject for DegradingSubject {
 
     fn degraded_at(&self) -> Option<u64> {
         self.degraded_at
+    }
+
+    fn checks_elided(&self) -> u64 {
+        self.checker.stats().elided
     }
 }
 
@@ -666,9 +366,9 @@ impl RunOutcome {
 #[must_use]
 pub fn default_subjects(ops_len: usize) -> Vec<Box<dyn Subject>> {
     vec![
-        Box::new(UncachedSubject::new()),
-        Box::new(CachedSubject::new()),
-        Box::new(DegradingSubject::new(ops_len as u64 / 2)),
+        Box::new(CheckerSubject::uncached()),
+        Box::new(CheckerSubject::cached()),
+        Box::new(CheckerSubject::degrading(ops_len as u64 / 2)),
     ]
 }
 
@@ -686,8 +386,8 @@ pub fn run_ops_elided(ops: &[Op], map: &StaticVerdictMap) -> RunOutcome {
     run_stream(
         ops,
         vec![
-            Box::new(ElidedSubject::new(map.clone())),
-            Box::new(ElidedCachedSubject::new(map.clone())),
+            Box::new(CheckerSubject::elided(map.clone())),
+            Box::new(CheckerSubject::elided_cached(map.clone())),
         ],
     )
 }
@@ -703,8 +403,8 @@ pub fn run_ops_elided_segments(ops: &[Op], segments: &[(u64, StaticVerdictMap)])
     run_stream_with_installs(
         ops,
         vec![
-            Box::new(ElidedSubject::new(StaticVerdictMap::new())),
-            Box::new(ElidedCachedSubject::new(StaticVerdictMap::new())),
+            Box::new(CheckerSubject::elided(StaticVerdictMap::new())),
+            Box::new(CheckerSubject::elided_cached(StaticVerdictMap::new())),
         ],
         segments,
     )

@@ -1,8 +1,9 @@
 //! # conformance — differential testing against a golden CHERI oracle
 //!
-//! The repo now carries three implementations of the same protection
-//! semantics — [`capchecker::CapChecker`], [`capchecker::CachedCapChecker`],
-//! and the recovery degradation path — plus a compressed capability codec.
+//! The repo carries three paths through the same protection semantics —
+//! the [`capchecker::CapChecker`] over its fixed table, the same checker
+//! over its cache store, and the recovery degradation path from one to
+//! the other — plus a compressed capability codec.
 //! Following the reference-model methodology of VeriCHERI and the
 //! CHERIoT-Ibex observational-correctness work, none of them is trusted to
 //! check itself: this crate cross-checks all of them against a
@@ -46,8 +47,8 @@ pub mod stream;
 pub use codec::{check as codec_check, CodecReport};
 pub use harness::{
     build_access, build_grant_cap, default_subjects, run_ops, run_ops_elided,
-    run_ops_elided_segments, run_stream, CachedSubject, Checked, DegradingSubject, Divergence,
-    ElidedCachedSubject, ElidedSubject, OpCounts, RunOutcome, Subject, UncachedSubject,
+    run_ops_elided_segments, run_stream, Checked, CheckerSubject, Divergence, OpCounts, RunOutcome,
+    Subject,
 };
 pub use oracle::{Oracle, OracleCap, Verdict};
 pub use report::{ConformanceReport, SCHEMA};

@@ -32,8 +32,7 @@
 //! campaign re-run with the controller in charge of degradation,
 //! re-promotion, and quarantine release.
 
-use crate::cached::CachedCheckerConfig;
-use crate::config::CheckerMode;
+use crate::config::{CachedCheckerConfig, CheckerMode};
 use crate::recovery::{
     audit_task_tags, synthetic_kernel, CampaignConfig, CampaignReport, RecoveryOutcome, Resolution,
     TaskRecord, WatchdogEngine,
@@ -685,24 +684,25 @@ struct Totals {
 }
 
 fn sample_totals(sys: &HeteroSystem) -> Totals {
-    if let Some(c) = sys.cached_checker() {
-        let s = c.cache_stats();
-        Totals {
+    let Some(c) = sys.checker() else {
+        return Totals::default();
+    };
+    match c.cache_stats() {
+        Some(s) => Totals {
             checks: s.hits + s.misses + s.elided,
             stall: s.miss_cycles,
             denied: s.denied,
-            corruption: c.corruption_detected(),
+            corruption: s.corruption_detected,
+        },
+        None => {
+            let s = c.stats();
+            Totals {
+                checks: s.granted + s.denied + s.elided,
+                stall: 0,
+                denied: s.denied,
+                corruption: 0,
+            }
         }
-    } else if let Some(c) = sys.checker() {
-        let s = c.stats();
-        Totals {
-            checks: s.granted + s.denied + s.elided,
-            stall: 0,
-            denied: s.denied,
-            corruption: 0,
-        }
-    } else {
-        Totals::default()
     }
 }
 
@@ -797,10 +797,15 @@ pub fn run_adaptive_campaign(
                         .set_tag_raw(addr, true)
                         .expect("task buffers are in range");
                 }
-                FaultKind::CacheCorrupt => match sys.cached_checker_mut() {
-                    Some(c) => c.corrupt_next_insert(1 << 70),
-                    None => injected = None,
-                },
+                FaultKind::CacheCorrupt => {
+                    // Only a checker over the cache store has lines to flip.
+                    let armed = sys
+                        .checker_mut()
+                        .is_some_and(|c| c.corrupt_next_insert(1 << 70));
+                    if !armed {
+                        injected = None;
+                    }
+                }
                 _ => {}
             }
         }

@@ -16,9 +16,9 @@ use std::collections::BTreeMap;
 
 /// Per-key check counters.
 ///
-/// `hits`/`misses`/`stall_cycles` only move on the cached checker
-/// ([`crate::CachedCapChecker`]), whose capability cache can miss; the
-/// table-resident [`crate::CapChecker`] always leaves them zero.
+/// `hits`/`misses`/`stall_cycles` only move on a checker over the cache
+/// store ([`crate::CapChecker::cached`]), whose capability cache can
+/// miss; over the fixed table they always stay zero.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CheckCounters {
     /// Requests granted.

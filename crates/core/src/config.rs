@@ -116,6 +116,39 @@ impl Default for CheckerConfig {
     }
 }
 
+/// Hardware parameters of a cache-backed CapChecker
+/// ([`CapChecker::cached`](crate::CapChecker::cached)).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct CachedCheckerConfig {
+    /// Hardware cache entries (fully associative, LRU).
+    pub cache_entries: usize,
+    /// Cycles a miss adds (fetch + decode of the in-memory entry).
+    pub miss_penalty: Cycles,
+    /// Provenance/addressing parameters shared with the fixed design.
+    pub base: CheckerConfig,
+}
+
+impl CachedCheckerConfig {
+    /// This configuration with the provenance mode replaced — what the
+    /// adaptive controller rebuilds the checker with on a Fine ⇄ Coarse
+    /// switch (cache geometry is a hardware property and carries over).
+    #[must_use]
+    pub fn with_mode(mut self, mode: CheckerMode) -> CachedCheckerConfig {
+        self.base.mode = mode;
+        self
+    }
+}
+
+impl Default for CachedCheckerConfig {
+    fn default() -> CachedCheckerConfig {
+        CachedCheckerConfig {
+            cache_entries: 16,
+            miss_penalty: 35,
+            base: CheckerConfig::fine(),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

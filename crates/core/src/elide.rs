@@ -3,10 +3,10 @@
 //! The `capcheri-analyze` crate proves, ahead of simulation, which
 //! `(task, object)` streams can never fault — every access lands inside a
 //! live, correctly-permissioned capability on all paths. Its result is a
-//! [`StaticVerdictMap`]. The [`CapChecker`](crate::CapChecker) and
-//! [`CachedCapChecker`](crate::CachedCapChecker) accept the map and skip
-//! the per-beat table walk for pairs proved safe, counting each skip in
-//! their `elided` statistic.
+//! [`StaticVerdictMap`]. The [`CapChecker`](crate::CapChecker), over
+//! either capability store, accepts the map and skips the per-beat store
+//! lookup for pairs proved safe, counting each skip in its `elided`
+//! statistic.
 //!
 //! Soundness does **not** rest on trusting the analyzer: the conformance
 //! harness replays elided checkers against the golden oracle and diffs

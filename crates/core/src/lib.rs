@@ -9,8 +9,13 @@
 //!
 //! ## Architecture (Figure 5)
 //!
-//! * a 256-entry associative [capability table](CapabilityTable) keyed by
-//!   `(task, object)`, filled over an MMIO capability interconnect
+//! * one checker front end ([`CapChecker`]) over a capability store keyed
+//!   by `(task, object)`: the paper's 256-entry associative
+//!   [capability table](CapabilityTable) ([`CapChecker::new`]), or
+//!   §5.2.3's small LRU cache over a memory-resident table
+//!   ([`CapChecker::cached`]) — the protection model is the same for
+//!   both;
+//! * capabilities imported over an MMIO capability interconnect
 //!   ([`checker::regs`]) that only accepts *valid* capabilities;
 //! * a capability decoder (the 128-bit compressed format from the `cheri`
 //!   crate);
@@ -18,8 +23,9 @@
 //!   memory interface identifies the object per request, giving
 //!   pointer-level protection; **Coarse** — object IDs ride in the top 8
 //!   address bits, giving task-level protection in the worst case;
-//! * exception reporting: a global flag for the CPU plus per-entry
-//!   exception bits so software can trace the offending pointer.
+//! * exception reporting: a global flag for the CPU plus a per-store
+//!   exception trace (per-entry bits in the table) so software can trace
+//!   the offending pointer.
 //!
 //! ## Quick start
 //!
@@ -53,14 +59,13 @@
 pub mod adapt;
 mod alloc;
 pub mod attrib;
-pub mod cached;
 pub mod checker;
 mod config;
 pub mod elide;
 mod engines;
-mod exception;
 pub mod recovery;
 pub mod revoke;
+mod store;
 mod system;
 mod table;
 
@@ -70,9 +75,8 @@ pub use adapt::{
 };
 pub use alloc::{AllocError, HeapAllocator};
 pub use attrib::{CheckAttribution, CheckCounters};
-pub use cached::{CacheStats, CachedCapChecker, CachedCheckerConfig, CachedCheckerSnapshot};
 pub use checker::{CapChecker, CheckerSnapshot, CheckerStats};
-pub use config::{CheckerConfig, CheckerMode};
+pub use config::{CachedCheckerConfig, CheckerConfig, CheckerMode};
 pub use elide::{SegmentVerdicts, StaticVerdict, StaticVerdictMap, VerdictBitmap};
 pub use engines::{CpuEngine, ProtectedEngine, Provenance};
 pub use recovery::{
@@ -80,6 +84,7 @@ pub use recovery::{
     RecoveryPolicy, Resolution, TaskRecord, WatchdogEngine,
 };
 pub use revoke::{sweep_revoked, sweep_revoked_many, sweep_revoked_naive, SweepReport};
+pub use store::CacheStats;
 pub use system::{
     BufferSpec, DriverError, HeteroSystem, ProtectionChoice, SystemConfig, SystemVariant,
     TaskOutcome, TaskReport, TaskRequest,

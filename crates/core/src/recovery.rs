@@ -31,7 +31,7 @@
 //!              └─► forged tag found by post-run audit ► Denied (cleared)
 //! ```
 
-use crate::cached::CachedCheckerConfig;
+use crate::config::CachedCheckerConfig;
 use crate::system::{DriverError, HeteroSystem, ProtectionChoice, SystemConfig, TaskRequest};
 use hetsim::fault::{is_engine_level, persists_across_retries, FaultPlan, FaultSpec, FaultyEngine};
 use hetsim::{Cycles, Denial, DenyReason, Engine, ExecFault, TaskId};
@@ -545,10 +545,15 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignReport, DriverErr
                         .set_tag_raw(addr, true)
                         .expect("task buffers are in range");
                 }
-                FaultKind::CacheCorrupt => match sys.cached_checker_mut() {
-                    Some(c) => c.corrupt_next_insert(1 << 70),
-                    None => injected = None,
-                },
+                FaultKind::CacheCorrupt => {
+                    // Only a checker over the cache store has lines to flip.
+                    let armed = sys
+                        .checker_mut()
+                        .is_some_and(|c| c.corrupt_next_insert(1 << 70));
+                    if !armed {
+                        injected = None;
+                    }
+                }
                 _ => {}
             }
         }

@@ -18,9 +18,8 @@
 //!   exception was raised, release the FU, and report the exception.
 
 use crate::alloc::{AllocError, HeapAllocator};
-use crate::cached::{CachedCapChecker, CachedCheckerConfig};
 use crate::checker::CapChecker;
-use crate::config::{CheckerConfig, CheckerMode};
+use crate::config::{CachedCheckerConfig, CheckerConfig, CheckerMode};
 use crate::elide::{SegmentVerdicts, StaticVerdictMap};
 use crate::engines::{CpuEngine, ProtectedEngine, Provenance};
 use cheri::{compressed, Capability, CapabilityTree, NodeId, ObjectKind, Perms};
@@ -52,7 +51,7 @@ pub enum ProtectionChoice {
     CapChecker(CheckerConfig),
     /// The cache-backed CapChecker variant (§5.2.3's microarchitectural
     /// option): a small LRU cache over a memory-resident table.
-    CachedCapChecker(crate::cached::CachedCheckerConfig),
+    CachedCapChecker(CachedCheckerConfig),
 }
 
 /// System-level configuration.
@@ -412,25 +411,46 @@ struct TaskState {
 }
 
 enum Protection {
-    Checker(CapChecker),
-    Cached(CachedCapChecker),
+    /// The CapChecker, over either capability store (boxed: the checker
+    /// is hundreds of bytes, a baseline is a pointer).
+    Checker(Box<CapChecker>),
     Baseline(Box<dyn IoProtection>),
 }
 
 impl Protection {
     fn as_dyn(&mut self) -> &mut dyn IoProtection {
         match self {
-            Protection::Checker(c) => c,
-            Protection::Cached(c) => c,
+            Protection::Checker(c) => c.as_mut(),
             Protection::Baseline(b) => b.as_mut(),
         }
     }
 
     fn as_dyn_ref(&self) -> &dyn IoProtection {
         match self {
-            Protection::Checker(c) => c,
-            Protection::Cached(c) => c,
+            Protection::Checker(c) => c.as_ref(),
             Protection::Baseline(b) => b.as_ref(),
+        }
+    }
+
+    /// Imports one capability the way the driver does on this mechanism.
+    fn import(
+        &mut self,
+        task: TaskId,
+        object: ObjectId,
+        cap: &Capability,
+    ) -> Result<(), GrantError> {
+        match self {
+            Protection::Checker(c) => c.import(task, object, cap),
+            Protection::Baseline(b) => b.grant(task, object, cap),
+        }
+    }
+
+    /// Driver cycles one import costs beyond the MMIO write every import
+    /// pays (see [`CapChecker::import_cycles`]).
+    fn import_cycles(&self) -> Cycles {
+        match self {
+            Protection::Checker(c) => c.import_cycles(),
+            Protection::Baseline(_) => 0,
         }
     }
 }
@@ -534,8 +554,10 @@ impl HeteroSystem {
             ProtectionChoice::Iopmp(c) => Protection::Baseline(Box::new(Iopmp::new(c))),
             ProtectionChoice::Iommu(c) => Protection::Baseline(Box::new(Iommu::new(c))),
             ProtectionChoice::Snpu => Protection::Baseline(Box::new(Snpu::new())),
-            ProtectionChoice::CapChecker(c) => Protection::Checker(CapChecker::new(c)),
-            ProtectionChoice::CachedCapChecker(c) => Protection::Cached(CachedCapChecker::new(c)),
+            ProtectionChoice::CapChecker(c) => Protection::Checker(Box::new(CapChecker::new(c))),
+            ProtectionChoice::CachedCapChecker(c) => {
+                Protection::Checker(Box::new(CapChecker::cached(c)))
+            }
         };
         HeteroSystem {
             mem: TaggedMemory::new(config.mem_size),
@@ -604,58 +626,48 @@ impl HeteroSystem {
         &mut self.mem
     }
 
-    /// The CapChecker, if this system has one.
+    /// The CapChecker (over either store), if this system has one.
     #[must_use]
     pub fn checker(&self) -> Option<&CapChecker> {
         match &self.protection {
             Protection::Checker(c) => Some(c),
-            Protection::Cached(_) | Protection::Baseline(_) => None,
+            Protection::Baseline(_) => None,
         }
     }
 
-    /// The cache-backed CapChecker, if this system runs one.
-    #[must_use]
-    pub fn cached_checker(&self) -> Option<&CachedCapChecker> {
-        match &self.protection {
-            Protection::Cached(c) => Some(c),
-            _ => None,
-        }
-    }
-
-    /// Mutable access to the cache-backed CapChecker (the fault harness's
+    /// Mutable access to the CapChecker (the fault harness's cache
     /// corruption hooks live on it).
-    pub fn cached_checker_mut(&mut self) -> Option<&mut CachedCapChecker> {
+    pub fn checker_mut(&mut self) -> Option<&mut CapChecker> {
         match &mut self.protection {
-            Protection::Cached(c) => Some(c),
-            _ => None,
+            Protection::Checker(c) => Some(c),
+            Protection::Baseline(_) => None,
         }
+    }
+
+    /// The CapChecker, if this system has one and it runs over the cache
+    /// store.
+    #[must_use]
+    pub fn cached_checker(&self) -> Option<&CapChecker> {
+        self.checker().filter(|c| c.is_cached())
     }
 
     /// Installs the static analyzer's verdict map into the active
-    /// CapChecker (plain or cached): pairs proved safe skip the per-beat
-    /// check and count as `elided`. Returns `false` — and drops the map —
-    /// on baseline systems, which have no elision path.
+    /// CapChecker: pairs proved safe skip the per-beat check and count as
+    /// `elided`. Returns `false` — and drops the map — on baseline
+    /// systems, which have no elision path.
     ///
-    /// The map does not survive [`HeteroSystem::degrade_to_uncached`]:
-    /// after a degradation the caller must decide whether its proof still
-    /// holds for the replacement checker and re-install explicitly.
+    /// The map does not survive a checker rebuild (degradation,
+    /// re-promotion, mode switch): the caller must decide whether its
+    /// proof still holds for the replacement checker and re-install
+    /// explicitly.
     pub fn install_static_verdicts(&mut self, map: StaticVerdictMap) -> bool {
         let safe_pairs = map.safe_pairs();
-        let installed = match &mut self.protection {
-            Protection::Checker(c) => {
-                c.set_static_verdicts(map);
-                true
-            }
-            Protection::Cached(c) => {
-                c.set_static_verdicts(map);
-                true
-            }
-            Protection::Baseline(_) => false,
+        let Some(c) = self.checker_mut() else {
+            return false;
         };
-        if installed {
-            self.record(EventKind::StaticVerdictsInstalled { safe_pairs });
-        }
-        installed
+        c.set_static_verdicts(map);
+        self.record(EventKind::StaticVerdictsInstalled { safe_pairs });
+        true
     }
 
     /// Installs `map` into the active checker *and* retains it in the
@@ -679,20 +691,7 @@ impl HeteroSystem {
     pub fn reinstall_segment_verdicts(&mut self) -> Option<u64> {
         let map = self.segment_verdicts.retained()?.clone();
         let safe_pairs = map.safe_pairs();
-        let installed = match &mut self.protection {
-            Protection::Checker(c) => {
-                c.set_static_verdicts(map);
-                true
-            }
-            Protection::Cached(c) => {
-                c.set_static_verdicts(map);
-                true
-            }
-            Protection::Baseline(_) => false,
-        };
-        if !installed {
-            return None;
-        }
+        self.checker_mut()?.set_static_verdicts(map);
         self.segment_verdicts.record_reinstall();
         self.record(EventKind::SegmentVerdictsReinstalled { safe_pairs });
         Some(safe_pairs)
@@ -714,48 +713,28 @@ impl HeteroSystem {
     /// The static verdict map installed into the active checker, if any.
     #[must_use]
     pub fn static_verdicts(&self) -> Option<&StaticVerdictMap> {
-        match &self.protection {
-            Protection::Checker(c) => c.static_verdicts(),
-            Protection::Cached(c) => c.static_verdicts(),
-            Protection::Baseline(_) => None,
-        }
+        self.checker()?.static_verdicts()
     }
 
     /// Starts per-master / per-`(task, object)` check attribution on the
-    /// active checker (plain or cached). Returns `false` on baseline
-    /// systems, which have no attribution to collect.
+    /// active checker. Returns `false` on baseline systems, which have no
+    /// attribution to collect.
     pub fn enable_check_attribution(&mut self) -> bool {
-        match &mut self.protection {
-            Protection::Checker(c) => {
-                c.enable_attribution();
-                true
-            }
-            Protection::Cached(c) => {
-                c.enable_attribution();
-                true
-            }
-            Protection::Baseline(_) => false,
-        }
+        self.checker_mut()
+            .map(CapChecker::enable_attribution)
+            .is_some()
     }
 
     /// The check attribution collected so far, if enabled.
     #[must_use]
     pub fn check_attribution(&self) -> Option<&crate::attrib::CheckAttribution> {
-        match &self.protection {
-            Protection::Checker(c) => c.attribution(),
-            Protection::Cached(c) => c.attribution(),
-            Protection::Baseline(_) => None,
-        }
+        self.checker()?.attribution()
     }
 
     /// Checks elided so far by the active checker (0 on baselines).
     #[must_use]
     pub fn checks_elided(&self) -> u64 {
-        match &self.protection {
-            Protection::Checker(c) => c.stats().elided,
-            Protection::Cached(c) => c.cache_stats().elided,
-            Protection::Baseline(_) => 0,
-        }
+        self.checker().map_or(0, |c| c.stats().elided)
     }
 
     /// The protection mechanism on the accelerator path.
@@ -886,20 +865,11 @@ impl HeteroSystem {
         // capability interconnect's register map (Figure 6 ③).
         let mut setup_cycles = 0;
         if fu.is_some() {
-            let install_cost = match &self.protection {
-                Protection::Checker(c) => c.config().install_cycles(),
-                Protection::Cached(_) | Protection::Baseline(_) => 0,
-            };
+            let install_cost = self.protection.import_cycles();
             let mut tracer = self.tracer.clone();
             let mut clock = self.driver_clock;
             for (i, cap) in install_caps.iter().enumerate() {
-                let result = match &mut self.protection {
-                    Protection::Checker(checker) => {
-                        install_over_mmio(checker, id, ObjectId(i as u16), cap)
-                    }
-                    Protection::Cached(c) => c.grant(id, ObjectId(i as u16), cap),
-                    Protection::Baseline(b) => b.grant(id, ObjectId(i as u16), cap),
-                };
+                let result = self.protection.import(id, ObjectId(i as u16), cap);
                 clock = clock.saturating_add(install_cost + self.config.mmio_write_cycles);
                 if let Some(t) = tracer.as_mut() {
                     t.record(
@@ -926,9 +896,7 @@ impl HeteroSystem {
                     return Err(DriverError::ProtectionTableFull(e));
                 }
             }
-            if let Protection::Checker(c) = &self.protection {
-                setup_cycles += caps.len() as Cycles * c.config().install_cycles();
-            }
+            setup_cycles += caps.len() as Cycles * install_cost;
             // Control registers: one pointer per buffer plus start/config.
             setup_cycles += (caps.len() as Cycles + 2) * self.config.mmio_write_cycles;
         }
@@ -967,13 +935,9 @@ impl HeteroSystem {
     }
 
     fn coarse_config(&self) -> Option<CheckerConfig> {
-        match &self.protection {
-            Protection::Checker(c) if c.mode() == CheckerMode::Coarse => Some(*c.config()),
-            Protection::Cached(c) if c.config().base.mode == CheckerMode::Coarse => {
-                Some(c.config().base)
-            }
-            _ => None,
-        }
+        self.checker()
+            .filter(|c| c.mode() == CheckerMode::Coarse)
+            .map(|c| *c.config())
     }
 
     /// The accelerator-visible layout of a task's buffers (object-tagged
@@ -1085,11 +1049,8 @@ impl HeteroSystem {
             .ok_or(DriverError::UnknownTask(task))?;
         let fu = st.fu.ok_or(DriverError::NotAnAcceleratorTask(task))?;
         let layout = self.accel_layout(task)?;
-        let provenance = match &self.protection {
-            Protection::Checker(c) if c.mode() == CheckerMode::Coarse => Provenance::Opaque,
-            Protection::Cached(c) if c.config().base.mode == CheckerMode::Coarse => {
-                Provenance::Opaque
-            }
+        let provenance = match self.checker_mode() {
+            Some(CheckerMode::Coarse) => Provenance::Opaque,
             _ => Provenance::PerObjectPorts,
         };
         let master = MasterId(fu as u16 + 1);
@@ -1216,26 +1177,21 @@ impl HeteroSystem {
         });
 
         // Trace the offending pointers before evicting the entries.
-        let offending_objects = match &self.protection {
-            Protection::Checker(c) => c.exception_entries(task).iter().map(|e| e.object).collect(),
-            Protection::Cached(c) => {
-                let mut objs: Vec<ObjectId> = c
-                    .exceptions()
-                    .iter()
-                    .filter(|(t, _)| *t == task)
-                    .map(|&(_, o)| o)
-                    .collect();
-                objs.sort_unstable_by_key(|o| o.0);
-                objs.dedup();
-                objs
-            }
-            Protection::Baseline(_) => Vec::new(),
-        };
+        let offending_objects = self
+            .checker()
+            .map_or_else(Vec::new, |c| c.offending_objects(task));
 
         // Evict the task's capabilities so new tasks can be allocated.
-        let entries_before = self.protection.as_dyn_ref().entries_in_use();
-        self.protection.as_dyn().revoke_task(task);
-        let evicted = entries_before.saturating_sub(self.protection.as_dyn_ref().entries_in_use());
+        // The checker's store counts what it dropped; a baseline's count
+        // is the drop in the entries it reports in use.
+        let evicted = match &mut self.protection {
+            Protection::Checker(c) => c.evict_task(task),
+            Protection::Baseline(b) => {
+                let before = b.entries_in_use();
+                b.revoke_task(task);
+                before.saturating_sub(b.entries_in_use()) as u64
+            }
+        };
         // The EVICT_TASK register write is one MMIO transaction.
         self.driver_clock = self
             .driver_clock
@@ -1243,7 +1199,7 @@ impl HeteroSystem {
         if evicted > 0 {
             self.record(EventKind::CheckerEvict {
                 task: task.0,
-                entries: evicted as u64,
+                entries: evicted,
             });
         }
         // Attribute checks elided since the last deallocation to this
@@ -1363,21 +1319,14 @@ impl HeteroSystem {
             },
             None => cap,
         };
+        let install = self.protection.import_cycles();
         if self.tasks[&task].fu.is_some() {
-            let result = match &mut self.protection {
-                Protection::Checker(checker) => {
-                    install_over_mmio(checker, task, ObjectId(obj as u16), &device_cap)
-                }
-                Protection::Cached(c) => c.grant(task, ObjectId(obj as u16), &device_cap),
-                Protection::Baseline(b) => b.grant(task, ObjectId(obj as u16), &device_cap),
-            };
-            let install_cost = match &self.protection {
-                Protection::Checker(c) => c.config().install_cycles(),
-                Protection::Cached(_) | Protection::Baseline(_) => 0,
-            };
+            let result = self
+                .protection
+                .import(task, ObjectId(obj as u16), &device_cap);
             self.driver_clock = self
                 .driver_clock
-                .saturating_add(install_cost + self.config.mmio_write_cycles);
+                .saturating_add(install + self.config.mmio_write_cycles);
             self.record(EventKind::MmioCapInstall {
                 task: task.0,
                 object: obj as u16,
@@ -1395,10 +1344,6 @@ impl HeteroSystem {
             }
         }
         let coarse = self.coarse_config();
-        let install = match &self.protection {
-            Protection::Checker(c) => c.config().install_cycles(),
-            Protection::Cached(_) | Protection::Baseline(_) => 0,
-        };
         let st = self.tasks.get_mut(&task).expect("existence checked above");
         st.buffers.push((base, spec.size));
         st.padded.push((base, reserve));
@@ -1443,10 +1388,8 @@ impl HeteroSystem {
     /// data-path stats (under `checker.`, when a CapChecker guards the
     /// path), protection-entry occupancy, and the driver clock.
     pub fn export_metrics(&self, registry: &mut Registry) {
-        match &self.protection {
-            Protection::Checker(c) => registry.absorb(&c.stats(), "checker."),
-            Protection::Cached(c) => registry.absorb(&c.cache_stats(), "cache."),
-            Protection::Baseline(_) => {}
+        if let Some(c) = self.checker() {
+            c.export_metrics(registry);
         }
         registry.gauge_set(
             "protection.entries_in_use",
@@ -1470,10 +1413,8 @@ impl HeteroSystem {
     /// Clears the protection mechanism's global exception flag (the
     /// driver's pre-retry reset; on real hardware an MMIO register write).
     pub fn clear_protection_exception(&mut self) {
-        match &mut self.protection {
-            Protection::Checker(c) => c.clear_exception_flag(),
-            Protection::Cached(c) => c.clear_exception_flag(),
-            Protection::Baseline(_) => {}
+        if let Some(c) = self.checker_mut() {
+            c.clear_exception_flag();
         }
     }
 
@@ -1528,34 +1469,18 @@ impl HeteroSystem {
     }
 
     /// Graceful degradation: swaps a cache-backed CapChecker whose SRAM
-    /// has proven unreliable (checksum failures on hits) for the uncached
-    /// fixed-table design, re-granting every live task's capabilities over
-    /// the MMIO capability interconnect. Security never depended on the
-    /// cache — the backing table held ground truth — so this trades the
+    /// has proven unreliable (checksum failures on hits) for the fixed
+    /// table, re-granting every live task's capabilities over the MMIO
+    /// capability interconnect. Security never depended on the cache —
+    /// the backing table held ground truth — so this trades the
     /// miss-latency win for predictability, losing no protection.
     ///
     /// Returns `(corruption detections, capabilities re-granted)`, or
-    /// `None` when the protection is not the cached variant.
+    /// `None` when the checker is not running over the cache store.
     pub fn degrade_to_uncached(&mut self) -> Option<(u64, u64)> {
-        let (detections, base) = match &self.protection {
-            Protection::Cached(c) => (c.corruption_detected(), c.config().base),
-            _ => return None,
-        };
-        let mut checker = CapChecker::new(base);
-        let mut regranted = 0u64;
-        let install = base.install_cycles() + self.config.mmio_write_cycles;
-        for (&id, st) in &self.tasks {
-            if st.fu.is_none() {
-                continue;
-            }
-            for (i, cap) in st.device_caps.iter().enumerate() {
-                self.driver_clock = self.driver_clock.saturating_add(install);
-                if install_over_mmio(&mut checker, id, ObjectId(i as u16), cap).is_ok() {
-                    regranted += 1;
-                }
-            }
-        }
-        self.protection = Protection::Checker(checker);
+        let cached = self.cached_checker()?;
+        let detections = cached.corruption_detected();
+        let regranted = self.rebuild_checker(CapChecker::new(*cached.config()));
         self.record(EventKind::CheckerDegraded {
             detections,
             regranted,
@@ -1578,106 +1503,43 @@ impl HeteroSystem {
         true
     }
 
-    /// The provenance mode of the active CapChecker (plain or cached);
-    /// `None` on baseline systems, which have no mode to adapt.
+    /// The provenance mode of the active CapChecker; `None` on baseline
+    /// systems, which have no mode to adapt.
     #[must_use]
     pub fn checker_mode(&self) -> Option<CheckerMode> {
-        match &self.protection {
-            Protection::Checker(c) => Some(c.mode()),
-            Protection::Cached(c) => Some(c.config().base.mode),
-            Protection::Baseline(_) => None,
-        }
+        self.checker().map(CapChecker::mode)
     }
 
     /// Reverses [`HeteroSystem::degrade_to_uncached`]: swaps the
-    /// fixed-table CapChecker back for the cache-backed variant after the
-    /// adaptive controller's clean probation window. Every live task's
-    /// device capabilities are re-granted into the fresh backing table
-    /// (one MMIO write each — cached grants skip the install sequence).
-    /// Checker statistics, attribution, and any installed static-verdict
-    /// map do not survive the swap; the controller re-baselines its
-    /// signal deltas after calling this.
+    /// fixed-table CapChecker back for the cache-backed one after the
+    /// adaptive controller's clean probation window, re-granting every
+    /// live task's device capabilities into the fresh backing table. The
+    /// controller re-baselines its signal deltas after calling this.
     ///
     /// Returns the number of capabilities re-granted, or `None` when the
     /// active protection is not the fixed-table checker.
     pub fn repromote_to_cached(&mut self, config: CachedCheckerConfig) -> Option<u64> {
-        if !matches!(self.protection, Protection::Checker(_)) {
+        if self.checker()?.is_cached() {
             return None;
         }
-        let mut cached = CachedCapChecker::new(config);
-        let mut regranted = 0u64;
-        for (&id, st) in &self.tasks {
-            if st.fu.is_none() {
-                continue;
-            }
-            for (i, cap) in st.device_caps.iter().enumerate() {
-                self.driver_clock = self
-                    .driver_clock
-                    .saturating_add(self.config.mmio_write_cycles);
-                if cached.grant(id, ObjectId(i as u16), cap).is_ok() {
-                    regranted += 1;
-                }
-            }
-        }
-        self.protection = Protection::Cached(cached);
+        let regranted = self.rebuild_checker(CapChecker::cached(config));
         self.record(EventKind::CheckerRepromoted { regranted });
         Some(regranted)
     }
 
-    /// Switches the active CapChecker (plain or cached) between Fine and
-    /// Coarse provenance, rebuilding the checker in the new mode,
-    /// re-granting every live task's device capabilities, and reloading
-    /// each FU's base-pointer registers (object-tagged in Coarse mode).
-    /// As with degradation, statistics, attribution, and static verdicts
-    /// are dropped by the rebuild.
+    /// Switches the active CapChecker between Fine and Coarse provenance,
+    /// rebuilding it over the same store in the new mode, re-granting
+    /// every live task's device capabilities, and reloading each FU's
+    /// base-pointer registers (object-tagged in Coarse mode).
     ///
     /// Returns the number of capabilities re-granted; `None` on baseline
     /// systems or when the checker already runs in `mode` (no-op).
     pub fn set_checker_mode(&mut self, mode: CheckerMode) -> Option<u64> {
-        let current = self.checker_mode()?;
-        if current == mode {
+        let checker = self.checker()?;
+        if checker.mode() == mode {
             return None;
         }
-        let mut regranted = 0u64;
-        match &self.protection {
-            Protection::Checker(c) => {
-                let mut cfg = *c.config();
-                cfg.mode = mode;
-                let mut checker = CapChecker::new(cfg);
-                let install = cfg.install_cycles() + self.config.mmio_write_cycles;
-                for (&id, st) in &self.tasks {
-                    if st.fu.is_none() {
-                        continue;
-                    }
-                    for (i, cap) in st.device_caps.iter().enumerate() {
-                        self.driver_clock = self.driver_clock.saturating_add(install);
-                        if install_over_mmio(&mut checker, id, ObjectId(i as u16), cap).is_ok() {
-                            regranted += 1;
-                        }
-                    }
-                }
-                self.protection = Protection::Checker(checker);
-            }
-            Protection::Cached(c) => {
-                let cfg = c.config().with_mode(mode);
-                let mut cached = CachedCapChecker::new(cfg);
-                for (&id, st) in &self.tasks {
-                    if st.fu.is_none() {
-                        continue;
-                    }
-                    for (i, cap) in st.device_caps.iter().enumerate() {
-                        self.driver_clock = self
-                            .driver_clock
-                            .saturating_add(self.config.mmio_write_cycles);
-                        if cached.grant(id, ObjectId(i as u16), cap).is_ok() {
-                            regranted += 1;
-                        }
-                    }
-                }
-                self.protection = Protection::Cached(cached);
-            }
-            Protection::Baseline(_) => unreachable!("checker_mode() returned Some"),
-        }
+        let regranted = self.rebuild_checker(checker.empty_in_mode(mode));
         // Reload every live FU's base pointers for the new address view.
         let coarse = self.coarse_config();
         for st in self.tasks.values() {
@@ -1699,29 +1561,30 @@ impl HeteroSystem {
         });
         Some(regranted)
     }
-}
 
-/// Stages a capability through the CapChecker's MMIO register map — the
-/// driver's actual install sequence on the capability interconnect.
-fn install_over_mmio(
-    checker: &mut CapChecker,
-    task: TaskId,
-    object: ObjectId,
-    cap: &Capability,
-) -> Result<(), GrantError> {
-    use crate::checker::regs;
-    use hetsim::mmio::MmioDevice;
-    let bits = cap.compress().bits();
-    checker.mmio_write(regs::CAP_LO, bits as u64);
-    checker.mmio_write(regs::CAP_HI, (bits >> 64) as u64);
-    checker.mmio_write(regs::TAG, u64::from(cap.is_valid()));
-    checker.mmio_write(regs::TASK, u64::from(task.0));
-    checker.mmio_write(regs::OBJECT, u64::from(object.0));
-    checker.mmio_write(regs::COMMIT, 1);
-    match checker.mmio_read(regs::COMMIT) {
-        regs::STATUS_OK => Ok(()),
-        regs::STATUS_FULL => Err(GrantError::TableFull),
-        _ => Err(GrantError::InvalidCapability),
+    /// Replaces the active checker with `fresh`, re-granting every live
+    /// accelerator task's device capabilities in task order and charging
+    /// the driver clock each import's cost on the fresh checker's store.
+    /// Statistics, attribution, and the static-verdict map with its
+    /// bitmap do not survive: the old checker is dropped whole.
+    ///
+    /// Returns the number of capabilities re-granted.
+    fn rebuild_checker(&mut self, mut fresh: CapChecker) -> u64 {
+        let install = fresh.import_cycles() + self.config.mmio_write_cycles;
+        let mut regranted = 0u64;
+        for (&id, st) in &self.tasks {
+            if st.fu.is_none() {
+                continue;
+            }
+            for (i, cap) in st.device_caps.iter().enumerate() {
+                self.driver_clock = self.driver_clock.saturating_add(install);
+                if fresh.import(id, ObjectId(i as u16), cap).is_ok() {
+                    regranted += 1;
+                }
+            }
+        }
+        self.protection = Protection::Checker(Box::new(fresh));
+        regranted
     }
 }
 
@@ -1923,11 +1786,11 @@ mod tests {
         };
         assert!(run(&mut sys).completed());
         assert!(sys.cached_checker().is_some());
-        assert!(sys.checker().is_none());
         let (detections, regranted) = sys.degrade_to_uncached().unwrap();
         assert_eq!(detections, 0);
         assert_eq!(regranted, 2, "both live capabilities re-granted");
-        assert!(sys.checker().is_some(), "now the fixed-table design");
+        assert!(sys.cached_checker().is_none(), "now the fixed-table design");
+        assert_eq!(sys.protection().name(), "CapChecker-Fine");
         assert!(sys.degrade_to_uncached().is_none(), "degrade is one-way");
         // The task keeps running under the degraded protection, and an
         // overflow is still caught — no protection was lost.
@@ -1936,6 +1799,45 @@ mod tests {
             .run_accel_task(t, |eng| eng.load_u32(0, 4096).map(|_| ()))
             .unwrap();
         assert!(!out.completed());
+    }
+
+    /// Every deallocation reports every capability it evicted, whichever
+    /// store holds them. (The cache store reports its backing table, not
+    /// the 16 hardware lines `entries_in_use` is capped at.)
+    #[test]
+    fn deallocation_reports_every_eviction_on_both_stores() {
+        for protection in [
+            ProtectionChoice::CapChecker(CheckerConfig::fine()),
+            ProtectionChoice::CachedCapChecker(CachedCheckerConfig::default()),
+        ] {
+            let mut sys = HeteroSystem::new(SystemConfig {
+                protection,
+                ..SystemConfig::default()
+            });
+            sys.add_fus("k", 5);
+            let tracer = SharedTracer::new();
+            sys.set_tracer(tracer.clone());
+            let tasks: Vec<TaskId> = (0..5)
+                .map(|i| {
+                    sys.allocate_task(&TaskRequest::accel(format!("t{i}"), "k").rw_buffers([64; 4]))
+                        .unwrap()
+                })
+                .collect();
+            for t in tasks {
+                sys.deallocate_task(t).unwrap();
+            }
+            let evicted: Vec<u64> = tracer
+                .snapshot()
+                .events()
+                .iter()
+                .filter_map(|e| match e.kind {
+                    EventKind::CheckerEvict { entries, .. } => Some(entries),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(evicted, [4, 4, 4, 4, 4], "{protection:?}");
+            assert_eq!(sys.checker().unwrap().stats().evictions, 20);
+        }
     }
 
     #[test]
@@ -1948,9 +1850,9 @@ mod tests {
         let t = sys
             .allocate_task(&TaskRequest::accel("k0", "k").rw_buffers([256, 256]))
             .unwrap();
-        let cfg = *sys.cached_checker().unwrap().config();
+        let cfg = sys.cached_checker().unwrap().cache_config().unwrap();
         sys.degrade_to_uncached().unwrap();
-        assert!(sys.checker().is_some());
+        assert!(sys.cached_checker().is_none());
         assert!(
             sys.repromote_to_cached(cfg).is_some(),
             "repromotion from the fixed-table checker succeeds"

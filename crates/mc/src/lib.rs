@@ -10,9 +10,10 @@
 //!
 //! ## What is checked
 //!
-//! Per transition (refinement): every subject — [`capchecker::CapChecker`],
-//! [`capchecker::CachedCapChecker`], the post-degradation path, and the
-//! verdict-elided variants — returns exactly the verdict its spec
+//! Per transition (refinement): every subject — a
+//! [`capchecker::CapChecker`] over the fixed table, one over the cache
+//! store, the post-degradation path, and the verdict-elided variants —
+//! returns exactly the verdict its spec
 //! demands (the oracle's verdict, or `Granted` on pairs a live
 //! `StaticVerdictMap` waves). Per state (invariants): no access succeeds
 //! without a live grant, derivation never widens authority, revocation

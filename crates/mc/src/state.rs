@@ -4,10 +4,10 @@
 //! One [`McState`] holds:
 //!
 //! * the PR 4 [`Oracle`] — the *spec* every verdict is compared against;
-//! * five subjects: the fixed-table [`CapChecker`], the
-//!   [`CachedCapChecker`], the post-degradation path (cached until a
-//!   [`McOp::Degrade`], fixed-table after), and an elided variant of
-//!   each (a `StaticVerdictMap`/`VerdictBitmap` installed);
+//! * five [`CapChecker`] subjects: one over the fixed table, one over the
+//!   cache store, the post-degradation path (cache store until a
+//!   [`McOp::Degrade`], fixed table after), and an elided variant of
+//!   the first two (a `StaticVerdictMap`/`VerdictBitmap` installed);
 //! * an *independent* abstract model — which pairs hold which grant,
 //!   which slots hold spilled tags, which pairs the verdict map waves —
 //!   used both to cross-check the oracle ("no access succeeds without a
@@ -20,8 +20,8 @@
 
 use crate::ops::{full_cap, mem_bytes, narrow_cap, slot_base, McOp, NARROW_BYTES, SLOT_BYTES};
 use capchecker::{
-    sweep_revoked, CachedCapChecker, CachedCheckerConfig, CachedCheckerSnapshot, CapChecker,
-    CheckerConfig, CheckerSnapshot, StaticVerdict, StaticVerdictMap,
+    sweep_revoked, CachedCheckerConfig, CapChecker, CheckerConfig, CheckerSnapshot, StaticVerdict,
+    StaticVerdictMap,
 };
 use cheri::{CapFault, Capability};
 use conformance::{Oracle, Verdict};
@@ -81,18 +81,21 @@ impl McConfig {
         usize::from(self.tasks) * usize::from(self.objects)
     }
 
-    fn checker_config(self) -> CheckerConfig {
-        CheckerConfig {
+    /// An empty checker over the cache store (`cached`) or the fixed
+    /// table, sized to hold every pair.
+    fn checker(self, cached: bool) -> CapChecker {
+        let base = CheckerConfig {
             entries: self.pairs(),
             ..CheckerConfig::fine()
-        }
-    }
-
-    fn cached_config(self) -> CachedCheckerConfig {
-        CachedCheckerConfig {
-            cache_entries: 4,
-            miss_penalty: 35,
-            base: self.checker_config(),
+        };
+        if cached {
+            CapChecker::cached(CachedCheckerConfig {
+                cache_entries: 4,
+                miss_penalty: 35,
+                base,
+            })
+        } else {
+            CapChecker::new(base)
         }
     }
 }
@@ -106,13 +109,6 @@ pub enum GrantKind {
     Narrow,
 }
 
-/// The degradation-path subject: cached until degraded, fixed after.
-#[derive(Clone, Debug)]
-enum DegradingPath {
-    Cached(CachedCapChecker),
-    Fixed(CapChecker),
-}
-
 /// Display names of the five subjects, in expected-flag index order.
 pub const SUBJECTS: [&str; 5] = [
     "CapChecker",
@@ -121,6 +117,16 @@ pub const SUBJECTS: [&str; 5] = [
     "CapChecker+Verdicts",
     "CachedCapChecker+Verdicts",
 ];
+
+/// Whether each subject starts over the cache store, in [`SUBJECTS`]
+/// order.
+const STARTS_CACHED: [bool; 5] = [false, true, true, false, true];
+
+/// The subject that degrades to the fixed table and re-promotes.
+const DEGRADING: usize = 2;
+
+/// The subjects that carry the verdict maps.
+const ELIDED: [usize; 2] = [3, 4];
 
 /// One property violation: which subject broke which property, and how.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -153,11 +159,8 @@ const PROBES: [Probe; 4] = [
 pub struct McState {
     cfg: McConfig,
     oracle: Oracle,
-    uncached: CapChecker,
-    cached: CachedCapChecker,
-    degrading: DegradingPath,
-    elided: CapChecker,
-    elided_cached: CachedCapChecker,
+    /// The subjects, in [`SUBJECTS`] order.
+    checkers: [CapChecker; 5],
     /// Live grants: the independent model the oracle is checked against.
     shadow: BTreeMap<(u8, u8), GrantKind>,
     /// Pairs whose slot currently holds a spilled, tagged capability.
@@ -179,11 +182,9 @@ pub struct McState {
 /// snapshot hooks — what the BFS frontier stores between depth levels.
 #[derive(Clone, Debug)]
 pub struct SavedState {
-    uncached: CheckerSnapshot,
-    cached: CachedCheckerSnapshot,
-    degrading: SavedDegrading,
-    elided: CheckerSnapshot,
-    elided_cached: CachedCheckerSnapshot,
+    checkers: [CheckerSnapshot; 5],
+    /// Whether the degrading subject had degraded to the fixed table.
+    degraded: bool,
     oracle: Oracle,
     shadow: BTreeMap<(u8, u8), GrantKind>,
     spills: BTreeSet<(u8, u8)>,
@@ -191,12 +192,6 @@ pub struct SavedState {
     segment: BTreeSet<(u8, u8)>,
     maps_live: bool,
     expected: [bool; 5],
-}
-
-#[derive(Clone, Debug)]
-enum SavedDegrading {
-    Cached(CachedCheckerSnapshot),
-    Fixed(CheckerSnapshot),
 }
 
 fn to_verdict(result: Result<(), Denial>) -> Verdict {
@@ -241,11 +236,7 @@ impl McState {
         McState {
             cfg,
             oracle: Oracle::new(cfg.pairs()),
-            uncached: CapChecker::new(cfg.checker_config()),
-            cached: CachedCapChecker::new(cfg.cached_config()),
-            degrading: DegradingPath::Cached(CachedCapChecker::new(cfg.cached_config())),
-            elided: CapChecker::new(cfg.checker_config()),
-            elided_cached: CachedCapChecker::new(cfg.cached_config()),
+            checkers: STARTS_CACHED.map(|cached| cfg.checker(cached)),
             shadow: BTreeMap::new(),
             spills: BTreeSet::new(),
             safe: BTreeSet::new(),
@@ -306,14 +297,9 @@ impl McState {
             McOp::Revoke { task } => {
                 self.oracle.revoke_task(TaskId(u32::from(task)));
                 let tid = TaskId(u32::from(task));
-                self.uncached.revoke_task(tid);
-                self.cached.revoke_task(tid);
-                match &mut self.degrading {
-                    DegradingPath::Cached(c) => c.revoke_task(tid),
-                    DegradingPath::Fixed(f) => f.revoke_task(tid),
+                for checker in &mut self.checkers {
+                    checker.revoke_task(tid);
                 }
-                self.elided.revoke_task(tid);
-                self.elided_cached.revoke_task(tid);
                 self.shadow.retain(|&(t, _), _| t != task);
             }
             McOp::Sweep { task } => self.sweep_op(op, task)?,
@@ -330,8 +316,7 @@ impl McState {
                         self.safe.insert((t, o));
                     }
                 }
-                self.elided.set_static_verdicts(map.clone());
-                self.elided_cached.set_static_verdicts(map);
+                self.install_maps(&map);
                 self.segment = self.safe.clone();
                 self.maps_live = true;
             }
@@ -352,8 +337,7 @@ impl McState {
                         self.safe.insert((t, o));
                     }
                 }
-                self.elided.set_static_verdicts(map.clone());
-                self.elided_cached.set_static_verdicts(map);
+                self.install_maps(&map);
                 self.maps_live = true;
             }
             McOp::ModeSwitch => {
@@ -362,14 +346,10 @@ impl McState {
                 // latched flags cleared. (The Fine⇄Coarse address view is
                 // a provenance-resolution detail orthogonal to the
                 // properties checked here; the model stays Fine-judged.)
-                self.uncached = self.rebuild_fixed();
-                self.cached = self.rebuild_cached();
-                self.degrading = match self.degrading {
-                    DegradingPath::Cached(_) => DegradingPath::Cached(self.rebuild_cached()),
-                    DegradingPath::Fixed(_) => DegradingPath::Fixed(self.rebuild_fixed()),
-                };
-                self.elided = self.rebuild_fixed();
-                self.elided_cached = self.rebuild_cached();
+                self.checkers = self
+                    .checkers
+                    .each_ref()
+                    .map(|c| self.rebuild(c.is_cached()));
                 self.safe.clear();
                 self.maps_live = false;
                 self.expected = [false; 5];
@@ -377,40 +357,33 @@ impl McState {
                 // lives driver-side, outside the rebuilt checkers.
             }
             McOp::Degrade => {
-                if matches!(self.degrading, DegradingPath::Cached(_)) {
-                    self.degrading = DegradingPath::Fixed(self.rebuild_fixed());
-                    self.expected[2] = false;
+                if self.checkers[DEGRADING].is_cached() {
+                    self.checkers[DEGRADING] = self.rebuild(false);
+                    self.expected[DEGRADING] = false;
                 }
             }
             McOp::Repromote => {
-                if matches!(self.degrading, DegradingPath::Fixed(_)) {
-                    self.degrading = DegradingPath::Cached(self.rebuild_cached());
-                    self.expected[2] = false;
+                if !self.checkers[DEGRADING].is_cached() {
+                    self.checkers[DEGRADING] = self.rebuild(true);
+                    self.expected[DEGRADING] = false;
                 }
             }
         }
         self.invariants(op)
     }
 
-    /// A fresh fixed-table checker with every live grant re-granted, in
-    /// grant-model (BTreeMap) order — the driver's rebuild sequence.
-    fn rebuild_fixed(&self) -> CapChecker {
-        let mut checker = CapChecker::new(self.cfg.checker_config());
-        for (&(t, o), &kind) in &self.shadow {
-            checker
-                .grant(
-                    TaskId(u32::from(t)),
-                    ObjectId(u16::from(o)),
-                    &self.grant_cap(t, o, kind),
-                )
-                .expect("re-granting a live capability cannot fail");
+    /// Installs `map` on the elided subjects.
+    fn install_maps(&mut self, map: &StaticVerdictMap) {
+        for i in ELIDED {
+            self.checkers[i].set_static_verdicts(map.clone());
         }
-        checker
     }
 
-    /// A fresh cached checker with every live grant re-granted.
-    fn rebuild_cached(&self) -> CachedCapChecker {
-        let mut checker = CachedCapChecker::new(self.cfg.cached_config());
+    /// A fresh checker over the cache store (`cached`) or the fixed table
+    /// with every live grant re-granted, in grant-model (BTreeMap) order —
+    /// the driver's rebuild sequence.
+    fn rebuild(&self, cached: bool) -> CapChecker {
+        let mut checker = self.cfg.checker(cached);
         for (&(t, o), &kind) in &self.shadow {
             checker
                 .grant(
@@ -441,16 +414,7 @@ impl McState {
         let tid = TaskId(u32::from(task));
         let oid = ObjectId(u16::from(object));
         let spec = self.oracle.grant(tid, oid, &cap);
-        let got = [
-            self.uncached.grant(tid, oid, &cap),
-            self.cached.grant(tid, oid, &cap),
-            match &mut self.degrading {
-                DegradingPath::Cached(c) => c.grant(tid, oid, &cap),
-                DegradingPath::Fixed(f) => f.grant(tid, oid, &cap),
-            },
-            self.elided.grant(tid, oid, &cap),
-            self.elided_cached.grant(tid, oid, &cap),
-        ];
+        let got = self.checkers.each_mut().map(|c| c.grant(tid, oid, &cap));
         for (i, g) in got.iter().enumerate() {
             if *g != spec {
                 return Err(Violation {
@@ -532,11 +496,20 @@ impl McState {
         )
     }
 
-    /// The fixed-table subject's verdict, with the planted off-by-one
-    /// applied when enabled: a bounds denial is retried one byte shorter
-    /// and waved through if the retry passes.
-    fn uncached_verdict(&mut self, access: &Access) -> Verdict {
-        let first = to_verdict(self.uncached.check(access));
+    /// Every subject's verdict on `access`, in [`SUBJECTS`] order.
+    fn verdicts(&mut self, access: &Access) -> [Verdict; 5] {
+        let mut verdicts = self
+            .checkers
+            .each_mut()
+            .map(|c| to_verdict(c.check(access)));
+        verdicts[0] = self.planted_verdict(verdicts[0], access);
+        verdicts
+    }
+
+    /// The fixed-table subject's verdict `first`, with the planted
+    /// off-by-one applied when enabled: a bounds denial is retried one
+    /// byte shorter and waved through if the retry passes.
+    fn planted_verdict(&mut self, first: Verdict, access: &Access) -> Verdict {
         if self.cfg.planted == Some(PlantedBug::BoundsOffByOne)
             && matches!(
                 first,
@@ -546,8 +519,8 @@ impl McState {
         {
             let mut shorter = *access;
             shorter.len -= 1;
-            if self.uncached.check(&shorter).is_ok() {
-                self.uncached.clear_exception_flag();
+            if self.checkers[0].check(&shorter).is_ok() {
+                self.checkers[0].clear_exception_flag();
                 return Verdict::Granted;
             }
         }
@@ -584,16 +557,7 @@ impl McState {
             elided_spec,
             elided_spec,
         ];
-        let got = [
-            self.uncached_verdict(&access),
-            to_verdict(self.cached.check(&access)),
-            match &mut self.degrading {
-                DegradingPath::Cached(c) => to_verdict(c.check(&access)),
-                DegradingPath::Fixed(f) => to_verdict(f.check(&access)),
-            },
-            to_verdict(self.elided.check(&access)),
-            to_verdict(self.elided_cached.check(&access)),
-        ];
+        let got = self.verdicts(&access);
         for i in 0..SUBJECTS.len() {
             if got[i] != specs[i] {
                 return Err(Violation {
@@ -675,41 +639,22 @@ impl McState {
 
     /// Per-state invariants, checked after every transition.
     fn invariants(&self, op: McOp) -> Result<(), Violation> {
-        let coherent = [
-            self.uncached.verdicts_coherent(),
-            self.cached.verdicts_coherent(),
-            match &self.degrading {
-                DegradingPath::Cached(c) => c.verdicts_coherent(),
-                DegradingPath::Fixed(f) => f.verdicts_coherent(),
-            },
-            self.elided.verdicts_coherent(),
-            self.elided_cached.verdicts_coherent(),
-        ];
-        let actual = [
-            self.uncached.exception_flag(),
-            self.cached.exception_flag(),
-            match &self.degrading {
-                DegradingPath::Cached(c) => c.exception_flag(),
-                DegradingPath::Fixed(f) => f.exception_flag(),
-            },
-            self.elided.exception_flag(),
-            self.elided_cached.exception_flag(),
-        ];
-        for i in 0..SUBJECTS.len() {
-            if !coherent[i] {
+        for (i, checker) in self.checkers.iter().enumerate() {
+            if !checker.verdicts_coherent() {
                 return Err(Violation {
                     subject: SUBJECTS[i].to_string(),
                     property: "verdict-coherence",
                     detail: format!("{op:?}: verdict bitmap diverged from the installed map"),
                 });
             }
-            if actual[i] != self.expected[i] {
+            if checker.exception_flag() != self.expected[i] {
                 return Err(Violation {
                     subject: SUBJECTS[i].to_string(),
                     property: "exception-flag",
                     detail: format!(
                         "{op:?}: exception flag is {}, model expects {}",
-                        actual[i], self.expected[i]
+                        checker.exception_flag(),
+                        self.expected[i]
                     ),
                 });
             }
@@ -810,8 +755,8 @@ impl McState {
                         .eq(self.safe.iter().copied())
             }
             McOp::ModeSwitch => false,
-            McOp::Degrade => matches!(self.degrading, DegradingPath::Fixed(_)),
-            McOp::Repromote => matches!(self.degrading, DegradingPath::Cached(_)),
+            McOp::Degrade => !self.checkers[DEGRADING].is_cached(),
+            McOp::Repromote => self.checkers[DEGRADING].is_cached(),
         }
     }
 
@@ -840,7 +785,7 @@ impl McState {
         for (i, &flag) in self.expected.iter().enumerate() {
             bits |= u8::from(flag) << i;
         }
-        bits |= u8::from(matches!(self.degrading, DegradingPath::Fixed(_))) << 5;
+        bits |= u8::from(!self.checkers[DEGRADING].is_cached()) << 5;
         bits |= u8::from(self.maps_live) << 6;
         bits
     }
@@ -856,16 +801,7 @@ impl McState {
         for probe in PROBES {
             let mut fork = self.clone();
             let access = fork.build_access(task, object, probe);
-            let verdicts = [
-                fork.uncached_verdict(&access),
-                to_verdict(fork.cached.check(&access)),
-                match &mut fork.degrading {
-                    DegradingPath::Cached(c) => to_verdict(c.check(&access)),
-                    DegradingPath::Fixed(f) => to_verdict(f.check(&access)),
-                },
-                to_verdict(fork.elided.check(&access)),
-                to_verdict(fork.elided_cached.check(&access)),
-            ];
+            let verdicts = fork.verdicts(&access);
             out.push('[');
             for (i, verdict) in verdicts.iter().enumerate() {
                 if i > 0 {
@@ -883,14 +819,8 @@ impl McState {
     #[must_use]
     pub fn save(&self) -> SavedState {
         SavedState {
-            uncached: self.uncached.snapshot(),
-            cached: self.cached.snapshot(),
-            degrading: match &self.degrading {
-                DegradingPath::Cached(c) => SavedDegrading::Cached(c.snapshot()),
-                DegradingPath::Fixed(f) => SavedDegrading::Fixed(f.snapshot()),
-            },
-            elided: self.elided.snapshot(),
-            elided_cached: self.elided_cached.snapshot(),
+            checkers: self.checkers.each_ref().map(CapChecker::snapshot),
+            degraded: !self.checkers[DEGRADING].is_cached(),
             oracle: self.oracle.clone(),
             shadow: self.shadow.clone(),
             spills: self.spills.clone(),
@@ -901,12 +831,15 @@ impl McState {
         }
     }
 
-    /// Reconstructs a state from a [`SavedState`]: fresh checkers,
-    /// verdict maps re-installed when they were live, then the snapshot
-    /// hooks restore the architectural state.
+    /// Reconstructs a state from a [`SavedState`]: fresh checkers over
+    /// the saved stores, verdict maps re-installed when they were live,
+    /// then the snapshot hooks restore the architectural state.
     #[must_use]
     pub fn from_saved(cfg: McConfig, saved: &SavedState) -> McState {
         let mut state = McState::new(cfg);
+        if saved.degraded {
+            state.checkers[DEGRADING] = cfg.checker(false);
+        }
         if saved.maps_live {
             let mut map = StaticVerdictMap::new();
             for &(t, o) in &saved.safe {
@@ -916,25 +849,11 @@ impl McState {
                     StaticVerdict::Safe,
                 );
             }
-            state.elided.set_static_verdicts(map.clone());
-            state.elided_cached.set_static_verdicts(map);
+            state.install_maps(&map);
         }
-        state.uncached.restore(&saved.uncached);
-        state.cached.restore(&saved.cached);
-        state.degrading = match &saved.degrading {
-            SavedDegrading::Cached(snap) => {
-                let mut c = CachedCapChecker::new(cfg.cached_config());
-                c.restore(snap);
-                DegradingPath::Cached(c)
-            }
-            SavedDegrading::Fixed(snap) => {
-                let mut f = CapChecker::new(cfg.checker_config());
-                f.restore(snap);
-                DegradingPath::Fixed(f)
-            }
-        };
-        state.elided.restore(&saved.elided);
-        state.elided_cached.restore(&saved.elided_cached);
+        for (checker, snap) in state.checkers.iter_mut().zip(&saved.checkers) {
+            checker.restore(snap);
+        }
         state.oracle = saved.oracle.clone();
         state.shadow = saved.shadow.clone();
         state.spills = saved.spills.clone();

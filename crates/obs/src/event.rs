@@ -52,7 +52,7 @@ pub enum FaultKind {
     BusStall,
     /// A beat lost on the interconnect; the transfer aborts cleanly.
     DroppedBeat,
-    /// Bit flips in a `CachedCapChecker` cache line.
+    /// Bit flips in a cache line of a cache-backed CapChecker.
     CacheCorrupt,
 }
 

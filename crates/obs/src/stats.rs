@@ -1,7 +1,7 @@
 //! The unified home of the per-component counter structs.
 //!
-//! These used to live with their components (`capchecker::checker`,
-//! `capchecker::cached`, `ioprotect::iommu`); they now live here so one
+//! These used to live with their components (the CapChecker and its
+//! cache store, `ioprotect::iommu`); they now live here so one
 //! [`MetricSource`] call per component replaces the ad-hoc plumbing, and
 //! the owning crates re-export them so existing paths keep working.
 

@@ -275,7 +275,7 @@ pub fn exception_reporting_works(mech: Mechanism) -> bool {
     let (far, far_obj) = (fx.victim_far, fx.victim_far_obj);
     let _ = attempt_read(&mut fx, far, far_obj);
     match fx.sys.checker() {
-        Some(c) => c.exception_flag() && !c.exception_entries(fx.attacker).is_empty(),
+        Some(c) => c.exception_flag() && !c.offending_objects(fx.attacker).is_empty(),
         None => false,
     }
 }

@@ -37,10 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "capability table: {} entries in use (of {})",
         sys.protection_entries(),
-        sys.checker()
-            .expect("CapChecker present")
-            .table()
-            .capacity()
+        sys.checker().expect("CapChecker present").config().entries
     );
 
     for (id, bench) in &tasks {
