@@ -113,3 +113,70 @@ fn verify_json_report_is_byte_identical_across_threads() {
         assert_eq!(run(t), sequential, "threads={t}");
     }
 }
+
+/// The golden document `tests/golden.rs` pins for `report`.
+fn golden_doc(name: &str, kind: &str, report: &str) -> String {
+    let mut w = obs::json::JsonWriter::new();
+    w.begin_object();
+    w.key("schema");
+    w.string("capcheri.golden.v1");
+    w.key("name");
+    w.string(name);
+    w.key("kind");
+    w.string(kind);
+    w.key("report");
+    w.string(report);
+    w.end_object();
+    let mut doc = w.finish();
+    doc.push('\n');
+    doc
+}
+
+/// The report goldens pin is the one the CLI prints: stdout (less its
+/// one trailing newline) or the `--trace-out` file, byte for byte.
+#[test]
+fn cli_reports_match_their_golden_snapshots() {
+    let dir = std::env::temp_dir().join(format!("capcheri-cli-golden-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("chrome_aes.json");
+    let trace_arg = trace.to_str().unwrap();
+    let cases: [(&str, &str, &[&str]); 5] = [
+        ("bench_report", "report", &["all", "--tasks", "2", "--json"]),
+        (
+            "bench_report_ccpu",
+            "report",
+            &["all", "--variant", "ccpu", "--json"],
+        ),
+        ("profile", "report", &["profile", "all", "--json"]),
+        (
+            "profile_ccpu",
+            "report",
+            &["profile", "all", "--variant", "ccpu", "--json"],
+        ),
+        (
+            "chrome_aes",
+            "trace",
+            &["aes", "--tasks", "2", "--trace-out", trace_arg],
+        ),
+    ];
+    for (name, kind, args) in cases {
+        let out = simulate(args);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {out:?}");
+        let report = if kind == "trace" {
+            std::fs::read_to_string(&trace).unwrap()
+        } else {
+            let stdout = String::from_utf8(out.stdout).unwrap();
+            stdout.strip_suffix('\n').unwrap_or(&stdout).to_owned()
+        };
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("tests/golden")
+            .join(format!("{name}.json"));
+        let pinned = std::fs::read_to_string(&path).unwrap();
+        assert!(
+            pinned == golden_doc(name, kind, &report),
+            "{args:?}: CLI output differs from {}",
+            path.display()
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

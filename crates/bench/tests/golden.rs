@@ -13,13 +13,16 @@
 //!
 //! and commit the rewritten files — the diff *is* the review artifact.
 
-use capchecker::{run_adaptive_campaign, AdaptConfig, CampaignConfig};
+use capchecker::{run_adaptive_campaign, AdaptConfig, CampaignConfig, SystemVariant};
 use capcheri_bench::adapt::{reports_to_json, AdaptBenchReport};
+use capcheri_bench::profile::{self, ProfileReport};
 use capcheri_bench::{
-    fig10, fig11, fig12, fig7, fig8, fig9, flowreport, staticreport, table1, table2, table3,
+    fan_out, fig10, fig11, fig12, fig7, fig8, fig9, flowreport, runner, staticreport, table1,
+    table2, table3,
 };
 use machsuite::Benchmark;
 use obs::json::JsonWriter;
+use obs::report::BenchReport;
 use std::fs;
 use std::path::PathBuf;
 
@@ -64,6 +67,42 @@ fn adapt_spmv_report() -> String {
     )])
 }
 
+/// `simulate all [--variant V] --tasks N --json`: every benchmark's
+/// observed run as one `capcheri.bench_report.v1` document.
+fn bench_report(variant: SystemVariant, tasks: usize, threads: usize) -> String {
+    let reports = fan_out(threads, Benchmark::ALL.len(), |i| {
+        let bench = Benchmark::ALL[i];
+        let run = runner::run_benchmark_observed(bench, variant, tasks, 0xC0DE);
+        BenchReport {
+            bench: bench.name().to_owned(),
+            variant: run.result.variant.label().to_owned(),
+            tasks: run.result.tasks,
+            seed: 0xC0DE,
+            metrics: run.metrics,
+        }
+    });
+    obs::report::reports_to_json(&reports)
+}
+
+/// `simulate profile all [--variant V] --json`.
+fn profile_report(variant: SystemVariant, threads: usize) -> String {
+    let reports = fan_out(threads, Benchmark::ALL.len(), |i| {
+        ProfileReport::collect(Benchmark::ALL[i], variant, 1, 0xC0DE)
+    });
+    profile::reports_to_json(&reports)
+}
+
+/// The `--trace-out` file of `simulate aes --tasks 2`.
+fn chrome_aes() -> String {
+    let run = runner::run_benchmark_observed(
+        Benchmark::Aes,
+        SystemVariant::CheriCpuCheriAccel,
+        2,
+        0xC0DE,
+    );
+    obs::chrome::chrome_trace_json(&run.events.sorted_by_cycle())
+}
+
 /// Every pinned artifact: `(name, kind, report at `threads`)`. Tables
 /// have no parallel path and ignore the thread count.
 fn artifacts(threads: usize) -> Vec<(&'static str, &'static str, String)> {
@@ -87,6 +126,27 @@ fn artifacts(threads: usize) -> Vec<(&'static str, &'static str, String)> {
         ("modelcheck", "report", modelcheck_report(threads)),
         ("adapt_campaign", "report", adapt_campaign_report()),
         ("adapt_spmv", "report", adapt_spmv_report()),
+        (
+            "bench_report",
+            "report",
+            bench_report(SystemVariant::CheriCpuCheriAccel, 2, threads),
+        ),
+        (
+            "bench_report_ccpu",
+            "report",
+            bench_report(SystemVariant::CheriCpu, 1, threads),
+        ),
+        (
+            "profile",
+            "report",
+            profile_report(SystemVariant::CheriCpuCheriAccel, threads),
+        ),
+        (
+            "profile_ccpu",
+            "report",
+            profile_report(SystemVariant::CheriCpu, threads),
+        ),
+        ("chrome_aes", "trace", chrome_aes()),
     ]
 }
 
