@@ -19,10 +19,9 @@
 //!   or a `for` loop) outside test code: hash order varies per process,
 //!   so anything folded from it must be re-ordered before use;
 //! * **`panic-in-hot-path`** — `.unwrap()`, `.expect(...)`, or `panic!`
-//!   in the per-access hot-path files (`crates/core/src/{checker,
-//!   cached,elide}.rs`, `crates/hetsim/src/timing.rs`) outside test
-//!   code, where a panic aborts the simulated machine instead of
-//!   reporting a fault through the exception path;
+//!   in the hot-path files ([`HOT_PATH_FILES`]) outside test code, where
+//!   a panic aborts the simulated machine (or the run entry point) instead
+//!   of reporting a fault through the exception path or a typed error;
 //! * **`unsafe-audit`** — an `unsafe` token without a `// SAFETY:`
 //!   comment in the three lines above it. The workspace forbids `unsafe`
 //!   outright (`unsafe_code = "forbid"`), so this rule exists for
@@ -265,15 +264,18 @@ fn is_timing_path(file: &str) -> bool {
 
 /// The files on the per-access hot path, where a panic aborts the
 /// simulated machine instead of latching a fault: the checker front end,
-/// its two capability stores, the elision bitmap, and the timing core.
-/// Paths are relative to the repository root, and each must exist — a
-/// renamed file would otherwise drop out of the rule silently.
-pub const HOT_PATH_FILES: [&str; 5] = [
+/// its two capability stores, the elision bitmap, and the timing core —
+/// plus the run entry point every cell passes through, which reports a
+/// failed run as a typed error. Paths are relative to the repository
+/// root, and each must exist — a renamed file would otherwise drop out
+/// of the rule silently.
+pub const HOT_PATH_FILES: [&str; 6] = [
     "crates/core/src/checker.rs",
     "crates/core/src/store.rs",
     "crates/core/src/table.rs",
     "crates/core/src/elide.rs",
     "crates/hetsim/src/timing.rs",
+    "crates/bench/src/runner.rs",
 ];
 
 /// Whether `file` is on the per-access hot path ([`HOT_PATH_FILES`]).

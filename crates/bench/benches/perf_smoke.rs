@@ -112,10 +112,10 @@ fn measure() -> Vec<Metric> {
     let cells_per_sec = cells as f64 / start.elapsed().as_secs_f64();
 
     let start = Instant::now();
-    black_box(fig8::report_threads(1));
+    black_box(fig8::report(1));
     let fig8_seq_ms = start.elapsed().as_secs_f64() * 1e3;
     let start = Instant::now();
-    black_box(fig8::report_threads(4));
+    black_box(fig8::report(4));
     let fig8_par_ms = start.elapsed().as_secs_f64() * 1e3;
 
     vec![

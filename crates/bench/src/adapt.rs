@@ -21,9 +21,10 @@
 //! is byte-identical for a fixed `(bench, epochs, tasks, seed)` on any
 //! machine and at any `--threads` value.
 
-use crate::runner::{run_benchmark_cached, run_benchmark_cached_elided};
+use crate::runner::{run, RunError, RunSpec};
 use capchecker::{
     AdaptConfig, AdaptController, AdaptDecision, CachedCheckerConfig, CheckerMode, EpochSignals,
+    SystemVariant,
 };
 use capcheri_analyze::analyze_benchmark;
 use machsuite::Benchmark;
@@ -71,7 +72,8 @@ pub struct AdaptEpoch {
 pub struct AdaptBenchReport {
     /// Which benchmark ran.
     pub bench: Benchmark,
-    /// Concurrent accelerator tasks per epoch.
+    /// Concurrent accelerator tasks each epoch ran (the requested count,
+    /// clamped to at least 1 as the runner does).
     pub tasks: usize,
     /// The base seed (epoch `e` runs with `seed + e`).
     pub seed: u64,
@@ -89,18 +91,20 @@ impl AdaptBenchReport {
     /// Runs `bench` through `epochs` controller epochs and wraps the
     /// take.
     ///
+    /// # Errors
+    ///
+    /// As [`run`].
+    ///
     /// # Panics
     ///
-    /// As [`crate::runner::run_benchmark`]; also when `config` has no
-    /// hysteresis gap.
-    #[must_use]
+    /// When `config` has no hysteresis gap.
     pub fn collect(
         bench: Benchmark,
         epochs: u32,
         tasks: usize,
         seed: u64,
         config: AdaptConfig,
-    ) -> AdaptBenchReport {
+    ) -> Result<AdaptBenchReport, RunError> {
         // The bench loop's only actuator is the provenance mode — the
         // cache itself is the signal source and stays in place, so the
         // cache/FU lattices are inert (`cached = false`, no FUs).
@@ -109,26 +113,33 @@ impl AdaptBenchReport {
         // epoch 0 runs fully checked while the analyzer computes it.
         let analysis = analyze_benchmark(bench, seed);
         let mut out = Vec::with_capacity(epochs as usize);
+        let mut tasks_run = tasks.max(1);
         for epoch in 0..epochs {
             let mode = controller.mode();
-            let cfg = adaptive_cache_config().with_mode(mode);
-            let epoch_seed = seed.wrapping_add(u64::from(epoch));
-            let run = if epoch == 0 {
-                run_benchmark_cached(bench, tasks, epoch_seed, cfg)
-            } else {
+            let spec = RunSpec {
+                cache: Some(adaptive_cache_config().with_mode(mode)),
                 // Install-after-drop: each epoch's rebuilt checker (and
                 // every mid-epoch mode switch) starts without a verdict
                 // map; re-installing the retained segment proof is what
                 // keeps elision alive across the controller's switches.
-                run_benchmark_cached_elided(bench, tasks, epoch_seed, cfg, &analysis)
+                elide: (epoch > 0).then_some(&analysis),
+                ..RunSpec::new(
+                    bench,
+                    SystemVariant::CheriCpuCheriAccel,
+                    tasks,
+                    seed.wrapping_add(u64::from(epoch)),
+                )
             };
+            let run = run(&spec)?;
+            tasks_run = run.result.tasks;
             // A fresh system per epoch means the full-run stats *are*
             // the epoch's deltas.
+            let cache = run.cache.expect("the cached protection was installed");
             let signals = EpochSignals {
-                checks: run.cache.hits + run.cache.misses + run.cache.elided,
-                stall_cycles: run.cache.miss_cycles,
-                denied: run.cache.denied,
-                corruption: run.cache.corruption_detected,
+                checks: cache.hits + cache.misses + cache.elided,
+                stall_cycles: cache.miss_cycles,
+                denied: cache.denied,
+                corruption: cache.corruption_detected,
                 quarantined_fus: Vec::new(),
             };
             controller.observe(&signals);
@@ -137,20 +148,20 @@ impl AdaptBenchReport {
                 mode,
                 cycles: run.result.cycles,
                 signals,
-                hits: run.cache.hits,
-                misses: run.cache.misses,
+                hits: cache.hits,
+                misses: cache.misses,
                 checks_elided: run.checks_elided,
             });
         }
-        AdaptBenchReport {
+        Ok(AdaptBenchReport {
             bench,
-            tasks,
+            tasks: tasks_run,
             seed,
             epochs: out,
             decisions: controller.trace().to_vec(),
             final_mode: controller.mode(),
             config,
-        }
+        })
     }
 
     fn write(&self, w: &mut JsonWriter) {
@@ -299,7 +310,7 @@ mod tests {
 
     #[test]
     fn report_json_is_valid_and_closed_loop() {
-        let r = AdaptBenchReport::collect(Benchmark::Aes, 3, 1, 3, AdaptConfig::default());
+        let r = AdaptBenchReport::collect(Benchmark::Aes, 3, 1, 3, AdaptConfig::default()).unwrap();
         let json = r.to_json();
         obs::json::validate(&json).unwrap();
         for needle in [
@@ -336,7 +347,8 @@ mod tests {
         // re-installed, elided epochs stall so little that the
         // down-threshold brings the system back to Fine — the round trip
         // static elision buys.
-        let r = AdaptBenchReport::collect(Benchmark::SpmvCrs, 4, 2, 1, AdaptConfig::default());
+        let r =
+            AdaptBenchReport::collect(Benchmark::SpmvCrs, 4, 2, 1, AdaptConfig::default()).unwrap();
         assert!(
             r.decisions
                 .iter()
@@ -355,7 +367,8 @@ mod tests {
         // switch dropped the verdict map and every later epoch reported
         // zero elided checks. Now every epoch after the proof epoch —
         // including those past the first switch — elides.
-        let r = AdaptBenchReport::collect(Benchmark::SpmvCrs, 4, 2, 1, AdaptConfig::default());
+        let r =
+            AdaptBenchReport::collect(Benchmark::SpmvCrs, 4, 2, 1, AdaptConfig::default()).unwrap();
         let first_switch = r
             .decisions
             .iter()
@@ -377,8 +390,17 @@ mod tests {
 
     #[test]
     fn reports_are_byte_deterministic() {
-        let a = AdaptBenchReport::collect(Benchmark::GemmNcubed, 3, 2, 7, AdaptConfig::default());
-        let b = AdaptBenchReport::collect(Benchmark::GemmNcubed, 3, 2, 7, AdaptConfig::default());
+        let a = AdaptBenchReport::collect(Benchmark::GemmNcubed, 3, 2, 7, AdaptConfig::default())
+            .unwrap();
+        let b = AdaptBenchReport::collect(Benchmark::GemmNcubed, 3, 2, 7, AdaptConfig::default())
+            .unwrap();
         assert_eq!(a.to_json(), b.to_json());
+    }
+
+    #[test]
+    fn report_records_the_task_count_that_ran() {
+        let r = AdaptBenchReport::collect(Benchmark::Aes, 1, 0, 1, AdaptConfig::default()).unwrap();
+        assert_eq!(r.tasks, 1, "the runner runs at least one task");
+        assert!(r.to_json().contains("\"tasks\":1,"));
     }
 }

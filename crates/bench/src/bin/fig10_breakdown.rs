@@ -1,4 +1,4 @@
 //! Regenerates the paper's fig10 output.
 fn main() {
-    println!("{}", capcheri_bench::fig10::report());
+    println!("{}", capcheri_bench::fig10::report(1));
 }

@@ -1,4 +1,4 @@
 //! Regenerates the paper's fig12 output.
 fn main() {
-    println!("{}", capcheri_bench::fig12::report());
+    println!("{}", capcheri_bench::fig12::report(1));
 }

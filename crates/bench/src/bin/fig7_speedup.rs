@@ -1,4 +1,4 @@
 //! Regenerates the paper's fig7 output.
 fn main() {
-    println!("{}", capcheri_bench::fig7::report());
+    println!("{}", capcheri_bench::fig7::report(1));
 }

@@ -1,19 +1,7 @@
 //! `simulate` — run any benchmark under any system configuration.
 //!
-//! A small operator tool over the same harness the figures use:
-//!
-//! ```text
-//! simulate <benchmark|all> [--variant cpu|ccpu|cpu+accel|ccpu+accel|ccpu+caccel]
-//!          [--tasks N] [--seed S] [--threads N] [--json] [--trace-out <path>]
-//! simulate faults [--spec SPEC] [--tasks N] [--seed S] [--fus N] [--json]
-//! simulate conformance [--seed S] [--ops N] [--json]
-//! simulate analyze [--lint] [--flow | --incremental] [--streams N] [--ops N]
-//!          [--seed S] [--threads N] [--json] [--out FILE]
-//! simulate profile <benchmark|all> [--variant V] [--tasks N] [--seed S]
-//!          [--threads N] [--json] [--out FILE]
-//! simulate adapt <benchmark|all|campaign> [--epochs N] [--tasks N] [--seed S]
-//!          [--spec SPEC] [--fus N] [--threads N] [--json] [--out FILE]
-//! ```
+//! A small operator tool over the same harness the figures use. Run it
+//! with no arguments for the synopsis of every subcommand and flag.
 //!
 //! `--threads N` fans independent benchmark cells out over a scoped
 //! worker pool (default: `CAPCHERI_THREADS` or the machine's available
@@ -38,9 +26,13 @@
 //! The `conformance` subcommand replays a seeded op stream through every
 //! checker implementation and the golden oracle, diffing each verdict,
 //! exception code, and the final tag state (see the `conformance`
-//! crate). Exit status is nonzero on any divergence; `--json` emits the
-//! `capcheri.conformance.v1` report; a divergent run prints a shrunk,
-//! ready-to-paste minimal reproducer.
+//! crate). `--json` emits the `capcheri.conformance.v1` report; a
+//! divergent run prints a shrunk, ready-to-paste minimal reproducer.
+//!
+//! The `verify` subcommand model-checks the scaled-down checker model
+//! exhaustively to `--depth` (see the `capcheri-mc` crate) and emits the
+//! `capcheri.modelcheck.v1` report with `--json`, byte-identical for any
+//! `--threads` value.
 //!
 //! The `profile` subcommand reruns a benchmark with the hierarchical
 //! span profiler and check attribution attached and prints where every
@@ -48,7 +40,7 @@
 //! `(task, object)` check pairs. `--json` emits the
 //! `capcheri.profile.v1` report, which serializes only cycle-domain
 //! quantities and is therefore byte-identical for any `--threads`
-//! value; `--out FILE` writes the report to a file instead of stdout.
+//! value.
 //!
 //! The `adapt` subcommand closes the loop: the online adaptive policy
 //! controller drives real runs. With a benchmark (or `all`) it runs
@@ -80,6 +72,15 @@
 //! the elided checkers against the golden oracle; a divergence fails
 //! the run.
 //!
+//! `--out FILE` writes the report to a file, byte for byte; on stdout a
+//! report ends in exactly one newline.
+//!
+//! Exit status: 0 = clean; 1 = a property was violated (a conformance
+//! divergence, a model-check violation, an unsafe or unsound analysis, a
+//! lint finding, a benign kernel denied); 2 = the harness failed (a bad
+//! flag or value, an unwritable `--out` or `--trace-out`, a workload
+//! that does not fit the system).
+//!
 //! Examples:
 //!
 //! ```text
@@ -90,23 +91,18 @@
 //! ```
 
 use capchecker::{run_adaptive_campaign, run_campaign, AdaptConfig, CampaignConfig, SystemVariant};
-use capcheri_bench::adapt::AdaptBenchReport;
-use capcheri_bench::profile::ProfileReport;
-use capcheri_bench::runner;
+use capcheri_bench::adapt::{self, AdaptBenchReport};
+use capcheri_bench::profile::{self, ProfileReport};
+use capcheri_bench::runner::{self, RunError, RunSpec};
+use capcheri_bench::{flowreport, staticreport};
+use capcheri_mc::{ExploreConfig, PlantedBug};
 use hetsim::FaultSpec;
 use machsuite::Benchmark;
 use obs::report::{reports_to_json, BenchReport};
+use std::fmt::{Display, Write as _};
+use std::io::Write as _;
 use std::process::ExitCode;
-
-struct Options {
-    benches: Vec<Benchmark>,
-    variant: SystemVariant,
-    tasks: usize,
-    seed: u64,
-    threads: usize,
-    json: bool,
-    trace_out: Option<String>,
-}
+use std::str::FromStr;
 
 fn usage() -> String {
     let names: Vec<&str> = Benchmark::ALL.iter().map(|b| b.name()).collect();
@@ -135,67 +131,389 @@ fn usage() -> String {
     )
 }
 
-fn parse_faults(args: &[String]) -> Result<(CampaignConfig, bool), String> {
-    let mut config = CampaignConfig::default();
-    let mut json = false;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let value = |it: &mut std::slice::Iter<'_, String>| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match flag.as_str() {
-            "--spec" => {
-                config.spec = value(&mut it)?
-                    .parse::<FaultSpec>()
-                    .map_err(|e| format!("--spec: {e}"))?;
-            }
-            "--tasks" => {
-                config.tasks = value(&mut it)?
-                    .parse()
-                    .map_err(|e| format!("--tasks: {e}"))?;
-            }
-            "--seed" => {
-                config.seed = value(&mut it)?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?;
-            }
-            "--fus" => {
-                config.fus = value(&mut it)?.parse().map_err(|e| format!("--fus: {e}"))?;
-            }
-            "--json" => json = true,
-            other => return Err(format!("unknown flag {other:?}\n\n{}", usage())),
-        }
-    }
-    Ok((config, json))
+/// Why an invocation did not end clean.
+#[derive(Debug)]
+enum Failure {
+    /// A property was violated (exit 1).
+    Violated(String),
+    /// The harness itself failed (exit 2).
+    Harness(String),
 }
 
-fn run_faults(config: &CampaignConfig, json: bool) -> ExitCode {
-    let report = match run_campaign(config) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("campaign failed: {e}");
-            return ExitCode::FAILURE;
-        }
+impl From<String> for Failure {
+    fn from(msg: String) -> Failure {
+        Failure::Harness(msg)
+    }
+}
+
+/// A run that could not finish: a denied benign kernel is a violated
+/// property, anything else a harness failure.
+fn failed(bench: Benchmark, e: &RunError) -> Failure {
+    let msg = format!("{bench}: {e}");
+    match e {
+        RunError::Denied(_) => Failure::Violated(msg),
+        _ => Failure::Harness(msg),
+    }
+}
+
+/// What the first argument may name.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Target {
+    /// Nothing: flags start right away.
+    None,
+    /// A benchmark or `all`.
+    Benches,
+    /// A benchmark, `all`, or the `campaign` pseudo-target.
+    BenchesOrCampaign,
+}
+
+/// One subcommand: its name, what it targets, the flags it accepts, and
+/// what it runs.
+struct Command {
+    name: &'static str,
+    target: Target,
+    flags: &'static [&'static str],
+    run: fn(&Args) -> Result<(), Failure>,
+}
+
+/// `simulate <benchmark|all> ...` — the default when no subcommand is
+/// named.
+const RUN: Command = Command {
+    name: "run",
+    target: Target::Benches,
+    flags: &[
+        "--variant",
+        "--tasks",
+        "--seed",
+        "--threads",
+        "--json",
+        "--trace-out",
+    ],
+    run: run_cells,
+};
+
+const COMMANDS: [Command; 6] = [
+    Command {
+        name: "faults",
+        target: Target::None,
+        flags: &["--spec", "--tasks", "--seed", "--fus", "--json"],
+        run: run_faults,
+    },
+    Command {
+        name: "conformance",
+        target: Target::None,
+        flags: &["--seed", "--ops", "--json"],
+        run: run_conformance,
+    },
+    Command {
+        name: "verify",
+        target: Target::None,
+        flags: &[
+            "--depth",
+            "--tasks",
+            "--objects",
+            "--threads",
+            "--planted-bug",
+            "--json",
+            "--out",
+        ],
+        run: run_verify,
+    },
+    Command {
+        name: "analyze",
+        target: Target::None,
+        flags: &[
+            "--lint",
+            "--flow",
+            "--incremental",
+            "--streams",
+            "--ops",
+            "--seed",
+            "--threads",
+            "--json",
+            "--out",
+        ],
+        run: run_analyze,
+    },
+    Command {
+        name: "profile",
+        target: Target::Benches,
+        flags: &[
+            "--variant",
+            "--tasks",
+            "--seed",
+            "--threads",
+            "--json",
+            "--out",
+        ],
+        run: run_profile,
+    },
+    Command {
+        name: "adapt",
+        target: Target::BenchesOrCampaign,
+        flags: &[
+            "--epochs",
+            "--tasks",
+            "--seed",
+            "--spec",
+            "--fus",
+            "--threads",
+            "--json",
+            "--out",
+        ],
+        run: run_adapt,
+    },
+];
+
+/// One parsed invocation: the targeted benchmarks (empty for `campaign`
+/// and for untargeted subcommands) and the typed value of every flag
+/// given — `None`/`false` for the rest, so each subcommand applies its
+/// own defaults.
+#[derive(Debug, Default)]
+struct Args {
+    benches: Vec<Benchmark>,
+    variant: Option<SystemVariant>,
+    tasks: Option<usize>,
+    seed: Option<u64>,
+    threads: Option<usize>,
+    json: bool,
+    out: Option<String>,
+    trace_out: Option<String>,
+    spec: Option<FaultSpec>,
+    fus: Option<usize>,
+    ops: Option<u64>,
+    streams: Option<u64>,
+    epochs: Option<u32>,
+    depth: Option<u32>,
+    objects: Option<usize>,
+    planted: Option<PlantedBug>,
+    lint: bool,
+    flow: bool,
+    incremental: bool,
+}
+
+impl Args {
+    fn threads(&self) -> usize {
+        self.threads.unwrap_or_else(perf::auto_threads)
+    }
+}
+
+fn parsed<T: FromStr>(flag: &str, value: &str) -> Result<T, String>
+where
+    T::Err: Display,
+{
+    value.parse().map_err(|e| format!("{flag}: {e}"))
+}
+
+fn unknown_flag(flag: &str) -> String {
+    format!("unknown flag {flag:?}\n\n{}", usage())
+}
+
+/// Splits `argv` into its subcommand and that subcommand's typed
+/// arguments. Every flag is checked against the subcommand's table, so
+/// a flag another subcommand takes is still rejected here.
+fn parse(argv: &[String]) -> Result<(&'static Command, Args), String> {
+    let (cmd, rest) = match COMMANDS
+        .iter()
+        .find(|c| argv.first().is_some_and(|a| a == c.name))
+    {
+        Some(cmd) => (cmd, &argv[1..]),
+        None => (&RUN, argv),
     };
-    if json {
-        println!("{}", report.to_json());
-        return ExitCode::SUCCESS;
+    let mut args = Args::default();
+    let mut it = rest.iter();
+    if cmd.target != Target::None {
+        match it.next().map(String::as_str) {
+            None => return Err(usage()),
+            Some("campaign") if cmd.target == Target::BenchesOrCampaign => {}
+            Some("all") => args.benches = Benchmark::ALL.to_vec(),
+            Some(name) => args.benches.push(
+                name.parse::<Benchmark>()
+                    .map_err(|e| format!("{e}\n\n{}", usage()))?,
+            ),
+        }
     }
-    println!(
-        "fault campaign: {} tasks, seed {:#x}, spec {:?}",
-        report.tasks, report.seed, report.spec
+    while let Some(flag) = it.next() {
+        let flag = flag.as_str();
+        if !cmd.flags.contains(&flag) {
+            return Err(unknown_flag(flag));
+        }
+        let mut value = || {
+            it.next()
+                .map(String::as_str)
+                .ok_or_else(|| format!("{flag} needs a value"))
+        };
+        match flag {
+            "--json" => args.json = true,
+            "--lint" => args.lint = true,
+            "--flow" => args.flow = true,
+            "--incremental" => {
+                args.flow = true;
+                args.incremental = true;
+            }
+            "--variant" => {
+                let v = value()?;
+                args.variant = Some(
+                    SystemVariant::ALL
+                        .into_iter()
+                        .find(|x| x.label() == v)
+                        .ok_or_else(|| format!("unknown variant {v:?}"))?,
+                );
+            }
+            "--tasks" => args.tasks = Some(parsed(flag, value()?)?),
+            "--seed" => args.seed = Some(parsed(flag, value()?)?),
+            "--threads" => args.threads = Some(parsed::<usize>(flag, value()?)?.max(1)),
+            "--fus" => args.fus = Some(parsed(flag, value()?)?),
+            "--ops" => args.ops = Some(parsed(flag, value()?)?),
+            "--streams" => args.streams = Some(parsed(flag, value()?)?),
+            "--epochs" => args.epochs = Some(parsed(flag, value()?)?),
+            "--depth" => args.depth = Some(parsed(flag, value()?)?),
+            "--objects" => args.objects = Some(parsed(flag, value()?)?),
+            "--out" => args.out = Some(value()?.to_owned()),
+            "--trace-out" => args.trace_out = Some(value()?.to_owned()),
+            "--spec" => args.spec = Some(parsed(flag, value()?)?),
+            "--planted-bug" => match value()? {
+                "off-by-one" => args.planted = Some(PlantedBug::BoundsOffByOne),
+                other => return Err(format!("--planted-bug: unknown bug {other:?}")),
+            },
+            _ => return Err(unknown_flag(flag)),
+        }
+    }
+    Ok((cmd, args))
+}
+
+fn write_file(path: &str, bytes: &str) -> Result<(), Failure> {
+    std::fs::write(path, bytes).map_err(|e| Failure::Harness(format!("cannot write {path}: {e}")))
+}
+
+/// Writes `rendered` to `out` byte for byte, or to stdout ending in
+/// exactly one newline.
+fn emit(out: Option<&str>, rendered: &str) -> Result<(), Failure> {
+    match out {
+        Some(path) => write_file(path, rendered),
+        None => writeln!(
+            std::io::stdout().lock(),
+            "{}",
+            rendered.trim_end_matches('\n')
+        )
+        .map_err(|e| Failure::Harness(format!("cannot write stdout: {e}"))),
+    }
+}
+
+/// Runs `cell` for every benchmark on `threads` workers and returns the
+/// results in benchmark order, so the output is byte-identical for any
+/// thread count. The first failure in benchmark order wins.
+fn cells<T: Send>(
+    threads: usize,
+    benches: &[Benchmark],
+    cell: impl Fn(Benchmark) -> Result<T, RunError> + Sync,
+) -> Result<Vec<T>, Failure> {
+    perf::parallel_map(threads, benches.len(), |i| {
+        cell(benches[i]).map_err(|e| failed(benches[i], &e))
+    })
+    .map_err(|p| Failure::Harness(p.to_string()))?
+    .into_iter()
+    .collect()
+}
+
+fn run_cells(a: &Args) -> Result<(), Failure> {
+    let variant = a.variant.unwrap_or(SystemVariant::CheriCpuCheriAccel);
+    let (tasks, seed) = (a.tasks.unwrap_or(1), a.seed.unwrap_or(0xC0DE));
+    if a.trace_out.is_some() && a.benches.len() > 1 {
+        return Err(Failure::Harness(
+            "--trace-out needs a single benchmark (events from several runs would share one file)"
+                .to_owned(),
+        ));
+    }
+    let spec = |bench| RunSpec {
+        observe: a.json || a.trace_out.is_some(),
+        ..RunSpec::new(bench, variant, tasks, seed)
+    };
+    // Each cell runs on its own worker with its own registry and trace
+    // buffer.
+    let rows = cells(a.threads(), &a.benches, |bench| {
+        let run = runner::run(&spec(bench))?;
+        let trace = run
+            .events
+            .filter(|_| a.trace_out.is_some())
+            .map(|events| obs::chrome::chrome_trace_json(&events.sorted_by_cycle()));
+        let report = run.metrics.map(|metrics| BenchReport {
+            bench: bench.name().to_owned(),
+            variant: run.result.variant.label().to_owned(),
+            tasks: run.result.tasks,
+            seed,
+            metrics,
+        });
+        Ok((run.result, report, trace))
+    })?;
+    let mut text = format!(
+        "{:<14} {:>12} {:>8} {:>12} {:>10} {:>9}\n",
+        "benchmark", "variant", "tasks", "cycles", "setup", "bus util"
     );
-    println!("{:<16} {:>8}", "injected", "count");
+    let mut reports = Vec::new();
+    for (r, report, trace) in rows {
+        if let (Some(path), Some(json)) = (&a.trace_out, trace) {
+            write_file(path, &json)?;
+        }
+        reports.extend(report);
+        let _ = writeln!(
+            text,
+            "{:<14} {:>12} {:>8} {:>12} {:>10} {:>8.1}%",
+            r.bench.name(),
+            r.variant.label(),
+            r.tasks,
+            r.cycles,
+            r.setup_cycles,
+            r.bus_utilization * 100.0
+        );
+    }
+    emit(
+        None,
+        &if a.json {
+            reports_to_json(&reports)
+        } else {
+            text
+        },
+    )
+}
+
+/// Applies the campaign flags `faults` and `adapt campaign` share.
+fn campaign_config(a: &Args) -> CampaignConfig {
+    let mut config = CampaignConfig::default();
+    if let Some(spec) = &a.spec {
+        config.spec = spec.clone();
+    }
+    if let Some(fus) = a.fus {
+        config.fus = fus;
+    }
+    config
+}
+
+fn run_faults(a: &Args) -> Result<(), Failure> {
+    let mut config = campaign_config(a);
+    if let Some(tasks) = a.tasks {
+        config.tasks = u32::try_from(tasks).map_err(|e| format!("--tasks: {e}"))?;
+    }
+    if let Some(seed) = a.seed {
+        config.seed = seed;
+    }
+    let report = run_campaign(&config).map_err(|e| format!("campaign failed: {e}"))?;
+    if a.json {
+        return emit(None, &report.to_json());
+    }
+    let mut text = format!(
+        "fault campaign: {} tasks, seed {:#x}, spec {:?}\n{:<16} {:>8}\n",
+        report.tasks, report.seed, report.spec, "injected", "count"
+    );
     for (kind, n) in report.injected_counts() {
-        println!("{kind:<16} {n:>8}");
+        let _ = writeln!(text, "{kind:<16} {n:>8}");
     }
-    println!("{:<18} {:>8}", "resolution", "count");
+    let _ = writeln!(text, "{:<18} {:>8}", "resolution", "count");
     for (res, n) in report.resolution_counts() {
-        println!("{res:<18} {n:>8}");
+        let _ = writeln!(text, "{res:<18} {n:>8}");
     }
-    println!(
+    let _ = writeln!(
+        text,
         "degraded: {}  quarantined fus: {}  denied checks: {}  \
          corruption detected: {}  driver cycles: {}  events: {}",
         report.degraded,
@@ -205,195 +523,58 @@ fn run_faults(config: &CampaignConfig, json: bool) -> ExitCode {
         report.driver_cycles,
         report.events
     );
-    ExitCode::SUCCESS
+    emit(None, &text)
 }
 
-fn parse_conformance(args: &[String]) -> Result<(u64, u64, bool), String> {
-    let (mut seed, mut ops, mut json) = (1u64, 10_000u64, false);
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let value = |it: &mut std::slice::Iter<'_, String>| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match flag.as_str() {
-            "--seed" => {
-                seed = value(&mut it)?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?
-            }
-            "--ops" => ops = value(&mut it)?.parse().map_err(|e| format!("--ops: {e}"))?,
-            "--json" => json = true,
-            other => return Err(format!("unknown flag {other:?}\n\n{}", usage())),
-        }
+fn run_conformance(a: &Args) -> Result<(), Failure> {
+    let report =
+        threatbench::fuzz::conformance_campaign(a.ops.unwrap_or(10_000), a.seed.unwrap_or(1));
+    emit(
+        None,
+        &if a.json {
+            report.to_json()
+        } else {
+            report.summary()
+        },
+    )?;
+    if report.is_clean() {
+        Ok(())
+    } else {
+        Err(Failure::Violated(
+            "conformance FAILED: an implementation diverged from the oracle".to_owned(),
+        ))
     }
-    Ok((seed, ops, json))
 }
 
-fn parse_verify(
-    args: &[String],
-) -> Result<(capcheri_mc::ExploreConfig, bool, Option<String>), String> {
-    let mut cfg = capcheri_mc::ExploreConfig::new(10);
-    let mut json = false;
-    let mut out = None;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let value = |it: &mut std::slice::Iter<'_, String>| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match flag.as_str() {
-            "--depth" => {
-                cfg.depth = value(&mut it)?
-                    .parse()
-                    .map_err(|e| format!("--depth: {e}"))?;
-            }
-            "--tasks" => {
-                cfg.tasks = value(&mut it)?
-                    .parse()
-                    .map_err(|e| format!("--tasks: {e}"))?;
-            }
-            "--objects" => {
-                cfg.objects = value(&mut it)?
-                    .parse()
-                    .map_err(|e| format!("--objects: {e}"))?;
-            }
-            "--threads" => {
-                cfg.threads = value(&mut it)?
-                    .parse::<usize>()
-                    .map_err(|e| format!("--threads: {e}"))?
-                    .max(1);
-            }
-            "--planted-bug" => match value(&mut it)?.as_str() {
-                "off-by-one" => cfg.planted = Some(capcheri_mc::PlantedBug::BoundsOffByOne),
-                other => return Err(format!("--planted-bug: unknown bug {other:?}")),
-            },
-            "--json" => json = true,
-            "--out" => out = Some(value(&mut it)?),
-            other => return Err(format!("unknown flag {other:?}\n\n{}", usage())),
-        }
-    }
-    if !(1..=4).contains(&cfg.tasks) || !(1..=4).contains(&cfg.objects) {
-        return Err("--tasks and --objects must be 1-4 (the model is deliberately tiny)".into());
-    }
-    Ok((cfg, json, out))
-}
-
-fn run_verify(cfg: capcheri_mc::ExploreConfig, json: bool, out: Option<String>) -> ExitCode {
+fn run_verify(a: &Args) -> Result<(), Failure> {
+    let mut cfg = ExploreConfig::new(a.depth.unwrap_or(10));
+    // The model is deliberately tiny.
+    let small = |n: usize| u8::try_from(n).ok().filter(|n| (1..=4).contains(n));
+    let (Some(tasks), Some(objects)) = (
+        small(a.tasks.unwrap_or(usize::from(cfg.tasks))),
+        small(a.objects.unwrap_or(usize::from(cfg.objects))),
+    ) else {
+        return Err(Failure::Harness(
+            "--tasks and --objects must be 1-4 (the model is deliberately tiny)".to_owned(),
+        ));
+    };
+    cfg.tasks = tasks;
+    cfg.objects = objects;
+    cfg.threads = a.threads.unwrap_or(cfg.threads);
+    cfg.planted = a.planted;
     let result = capcheri_mc::explore(cfg);
-    let rendered = if json {
+    let rendered = if a.json {
         capcheri_mc::to_json(&cfg, &result)
     } else {
         capcheri_mc::summary(&cfg, &result)
     };
-    if let Some(path) = out {
-        if let Err(e) = std::fs::write(&path, &rendered) {
-            eprintln!("cannot write {path}: {e}");
-            // Internal error, not a property verdict.
-            return ExitCode::from(2);
-        }
-    } else {
-        print!("{rendered}");
-        if !rendered.ends_with('\n') {
-            println!();
-        }
+    emit(a.out.as_deref(), &rendered)?;
+    match result.violation {
+        None => Ok(()),
+        Some(_) => Err(Failure::Violated(
+            "verify FAILED: a property violation was found".to_owned(),
+        )),
     }
-    if result.violation.is_none() {
-        ExitCode::SUCCESS
-    } else {
-        if !json {
-            eprintln!("verify FAILED: a property violation was found");
-        }
-        ExitCode::FAILURE
-    }
-}
-
-fn run_conformance(seed: u64, ops: u64, json: bool) -> ExitCode {
-    let report = threatbench::fuzz::conformance_campaign(ops, seed);
-    if json {
-        println!("{}", report.to_json());
-    } else {
-        print!("{}", report.summary());
-    }
-    if report.is_clean() {
-        ExitCode::SUCCESS
-    } else {
-        if !json {
-            eprintln!("conformance FAILED: an implementation diverged from the oracle");
-        }
-        ExitCode::FAILURE
-    }
-}
-
-struct AnalyzeOptions {
-    lint: bool,
-    streams: u64,
-    ops: u64,
-    seed: u64,
-    threads: usize,
-    json: bool,
-    out: Option<String>,
-    /// Emit the `capcheri.flowreport.v1` report from a from-scratch
-    /// flow analysis.
-    flow: bool,
-    /// As `flow`, but through the incremental engine (byte-identical
-    /// output; the engine asserts incremental ≡ from-scratch itself).
-    incremental: bool,
-}
-
-fn parse_analyze(args: &[String]) -> Result<AnalyzeOptions, String> {
-    let mut opts = AnalyzeOptions {
-        lint: false,
-        streams: 0,
-        // Short enough that the adversarial generator leaves some pairs
-        // denial-free, so verified runs actually exercise elision.
-        ops: 400,
-        seed: 1,
-        threads: perf::auto_threads(),
-        json: false,
-        out: None,
-        flow: false,
-        incremental: false,
-    };
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let value = |it: &mut std::slice::Iter<'_, String>| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match flag.as_str() {
-            "--lint" => opts.lint = true,
-            "--flow" => opts.flow = true,
-            "--incremental" => {
-                opts.flow = true;
-                opts.incremental = true;
-            }
-            "--streams" => {
-                opts.streams = value(&mut it)?
-                    .parse()
-                    .map_err(|e| format!("--streams: {e}"))?;
-            }
-            "--ops" => opts.ops = value(&mut it)?.parse().map_err(|e| format!("--ops: {e}"))?,
-            "--seed" => {
-                opts.seed = value(&mut it)?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?;
-            }
-            "--threads" => {
-                opts.threads = value(&mut it)?
-                    .parse::<usize>()
-                    .map_err(|e| format!("--threads: {e}"))?
-                    .max(1);
-            }
-            "--json" => opts.json = true,
-            "--out" => opts.out = Some(value(&mut it)?),
-            other => return Err(format!("unknown flag {other:?}\n\n{}", usage())),
-        }
-    }
-    Ok(opts)
 }
 
 /// Analyzes `count` seeded op streams and replays each verdict map
@@ -424,318 +605,131 @@ fn verify_streams(first_seed: u64, count: u64, ops: u64) -> bool {
     sound
 }
 
-/// Runs the flow-report path of `simulate analyze`: the incremental (or
-/// from-scratch) dataflow engine over seeded streams plus the kernel
-/// fixtures, emitting the byte-deterministic `capcheri.flowreport.v1`.
-fn run_analyze_flow(opts: &AnalyzeOptions) -> ExitCode {
-    // The flow report always analyzes at least a few streams — the work
-    // ratio is meaningless on an empty stream set.
-    let streams = opts.streams.max(4);
-    let report = capcheri_bench::flowreport::FlowReport::collect(
-        opts.seed,
-        streams,
-        opts.ops,
-        opts.threads,
-        opts.incremental,
+fn run_analyze(a: &Args) -> Result<(), Failure> {
+    // Short enough that the adversarial generator leaves some pairs
+    // denial-free, so verified runs actually exercise elision.
+    let (seed, ops, streams) = (
+        a.seed.unwrap_or(1),
+        a.ops.unwrap_or(400),
+        a.streams.unwrap_or(0),
     );
-    let rendered = if opts.json {
-        report.to_json()
-    } else {
-        report.render()
-    };
-    match &opts.out {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, &rendered) {
-                eprintln!("cannot write {path}: {e}");
-                return ExitCode::from(2);
-            }
-        }
-        None => {
-            print!("{rendered}");
-            if !rendered.ends_with('\n') {
-                println!();
-            }
-        }
-    }
-    if !report.all_replays_clean() {
-        eprintln!("analyze: a segment-elided replay diverged from the oracle");
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
-}
-
-fn run_analyze(opts: &AnalyzeOptions) -> ExitCode {
-    if opts.lint {
+    if a.lint {
         let root = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
-        match capcheri_analyze::lint_paths(&root) {
-            Ok(findings) if findings.is_empty() => println!("lint: clean"),
-            Ok(findings) => {
-                for f in &findings {
-                    println!("{f}");
-                }
-                eprintln!("lint: {} finding(s)", findings.len());
-                return ExitCode::FAILURE;
+        let findings = capcheri_analyze::lint_paths(&root)
+            .map_err(|e| format!("lint: cannot walk {}: {e}", root.display()))?;
+        if !findings.is_empty() {
+            for f in &findings {
+                println!("{f}");
             }
-            Err(e) => {
-                eprintln!("lint: cannot walk {}: {e}", root.display());
-                return ExitCode::from(2);
-            }
+            return Err(Failure::Violated(format!(
+                "lint: {} finding(s)",
+                findings.len()
+            )));
         }
+        println!("lint: clean");
     }
-    if opts.flow {
-        return run_analyze_flow(opts);
+    if a.flow {
+        // The flow report always analyzes at least a few streams — the
+        // work ratio is meaningless on an empty stream set.
+        let report =
+            flowreport::FlowReport::collect(seed, streams.max(4), ops, a.threads(), a.incremental);
+        emit(
+            a.out.as_deref(),
+            &if a.json {
+                report.to_json()
+            } else {
+                report.render()
+            },
+        )?;
+        if !report.all_replays_clean() {
+            return Err(Failure::Violated(
+                "analyze: a segment-elided replay diverged from the oracle".to_owned(),
+            ));
+        }
+        return Ok(());
     }
-    let rows = capcheri_bench::staticreport::rows_threads(opts.threads);
+    let rows = staticreport::rows(a.threads());
     let unsafe_findings: usize = rows.iter().map(|r| r.run.analysis.findings.len()).sum();
-    let rendered = if opts.json {
-        capcheri_bench::staticreport::rows_to_json(&rows)
-    } else {
-        capcheri_bench::staticreport::render_rows(&rows)
-    };
-    match &opts.out {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, &rendered) {
-                eprintln!("cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        None => println!("{rendered}"),
-    }
+    emit(
+        a.out.as_deref(),
+        &if a.json {
+            staticreport::rows_to_json(&rows)
+        } else {
+            staticreport::render_rows(&rows)
+        },
+    )?;
     if unsafe_findings > 0 {
-        eprintln!("analyze: {unsafe_findings} statically-unsafe finding(s)");
-        return ExitCode::FAILURE;
+        return Err(Failure::Violated(format!(
+            "analyze: {unsafe_findings} statically-unsafe finding(s)"
+        )));
     }
-    if opts.streams > 0 && !verify_streams(opts.seed, opts.streams, opts.ops) {
-        eprintln!("analyze: an elided replay diverged from the oracle");
-        return ExitCode::FAILURE;
+    if streams > 0 && !verify_streams(seed, streams, ops) {
+        return Err(Failure::Violated(
+            "analyze: an elided replay diverged from the oracle".to_owned(),
+        ));
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-struct ProfileOptions {
-    benches: Vec<Benchmark>,
-    variant: SystemVariant,
-    tasks: usize,
-    seed: u64,
-    threads: usize,
-    json: bool,
-    out: Option<String>,
+fn run_profile(a: &Args) -> Result<(), Failure> {
+    let variant = a.variant.unwrap_or(SystemVariant::CheriCpuCheriAccel);
+    let (tasks, seed) = (a.tasks.unwrap_or(1), a.seed.unwrap_or(0xC0DE));
+    // The profile serializes only simulated quantities — see
+    // capcheri_bench::profile.
+    let reports = cells(a.threads(), &a.benches, |bench| {
+        ProfileReport::collect(bench, variant, tasks, seed)
+    })?;
+    emit(
+        a.out.as_deref(),
+        &if a.json {
+            profile::reports_to_json(&reports)
+        } else {
+            profile::render_all(&reports)
+        },
+    )
 }
 
-fn parse_profile(args: &[String]) -> Result<ProfileOptions, String> {
-    let mut opts = ProfileOptions {
-        benches: Vec::new(),
-        variant: SystemVariant::CheriCpuCheriAccel,
-        tasks: 1,
-        seed: 0xC0DE,
-        threads: perf::auto_threads(),
-        json: false,
-        out: None,
-    };
-    let mut it = args.iter();
-    let first = it.next().ok_or_else(usage)?;
-    if first == "all" {
-        opts.benches = Benchmark::ALL.to_vec();
-    } else {
-        opts.benches.push(
-            first
-                .parse::<Benchmark>()
-                .map_err(|e| format!("{e}\n\n{}", usage()))?,
+fn run_adapt(a: &Args) -> Result<(), Failure> {
+    let seed = a.seed.unwrap_or(0xC0DE);
+    if !a.benches.is_empty() {
+        // The report serializes only simulated quantities.
+        let reports = cells(a.threads(), &a.benches, |bench| {
+            AdaptBenchReport::collect(
+                bench,
+                a.epochs.unwrap_or(4),
+                a.tasks.unwrap_or(1),
+                seed,
+                AdaptConfig::default(),
+            )
+        })?;
+        return emit(
+            a.out.as_deref(),
+            &if a.json {
+                adapt::reports_to_json(&reports)
+            } else {
+                adapt::render_all(&reports)
+            },
         );
     }
-    while let Some(flag) = it.next() {
-        let value = |it: &mut std::slice::Iter<'_, String>| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match flag.as_str() {
-            "--variant" => {
-                let v = value(&mut it)?;
-                opts.variant = SystemVariant::ALL
-                    .into_iter()
-                    .find(|x| x.label() == v)
-                    .ok_or_else(|| format!("unknown variant {v:?}"))?;
-            }
-            "--tasks" => {
-                opts.tasks = value(&mut it)?
-                    .parse()
-                    .map_err(|e| format!("--tasks: {e}"))?;
-            }
-            "--seed" => {
-                opts.seed = value(&mut it)?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?;
-            }
-            "--threads" => {
-                opts.threads = value(&mut it)?
-                    .parse::<usize>()
-                    .map_err(|e| format!("--threads: {e}"))?
-                    .max(1);
-            }
-            "--json" => opts.json = true,
-            "--out" => opts.out = Some(value(&mut it)?),
-            other => return Err(format!("unknown flag {other:?}\n\n{}", usage())),
-        }
+    let mut config = campaign_config(a);
+    if let Some(tasks) = a.tasks {
+        config.tasks = u32::try_from(tasks.max(1)).unwrap_or(u32::MAX);
     }
-    Ok(opts)
-}
-
-fn run_profile(opts: &ProfileOptions) -> ExitCode {
-    // One profiled run per worker; index-ordered merge makes the output
-    // byte-identical for any --threads value (the profile serializes
-    // only simulated quantities — see capcheri_bench::profile).
-    let reports = perf::parallel_map(opts.threads, opts.benches.len(), |i| {
-        ProfileReport::collect(opts.benches[i], opts.variant, opts.tasks, opts.seed)
-    });
-    let reports = match reports {
-        Ok(r) => r,
-        Err(p) => {
-            eprintln!("{p}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let rendered = if opts.json {
-        capcheri_bench::profile::reports_to_json(&reports)
-    } else {
-        capcheri_bench::profile::render_all(&reports)
-    };
-    match &opts.out {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, &rendered) {
-                eprintln!("cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        None => print!("{rendered}"),
+    config.seed = seed;
+    let report = run_adaptive_campaign(&config, &AdaptConfig::default())
+        .map_err(|e| format!("adaptive campaign failed: {e}"))?;
+    if a.json {
+        return emit(a.out.as_deref(), &report.to_json());
     }
-    ExitCode::SUCCESS
-}
-
-struct AdaptOptions {
-    /// Empty means the `campaign` pseudo-target.
-    benches: Vec<Benchmark>,
-    campaign: CampaignConfig,
-    epochs: u32,
-    /// `None` keeps each target's own default (1 concurrent task per
-    /// bench epoch; the campaign default task count for `campaign`).
-    tasks: Option<usize>,
-    seed: u64,
-    threads: usize,
-    json: bool,
-    out: Option<String>,
-}
-
-fn parse_adapt(args: &[String]) -> Result<AdaptOptions, String> {
-    let mut opts = AdaptOptions {
-        benches: Vec::new(),
-        campaign: CampaignConfig::default(),
-        epochs: 4,
-        tasks: None,
-        seed: 0xC0DE,
-        threads: perf::auto_threads(),
-        json: false,
-        out: None,
-    };
-    let mut it = args.iter();
-    let first = it.next().ok_or_else(usage)?;
-    match first.as_str() {
-        "campaign" => {}
-        "all" => opts.benches = Benchmark::ALL.to_vec(),
-        name => opts.benches.push(
-            name.parse::<Benchmark>()
-                .map_err(|e| format!("{e}\n\n{}", usage()))?,
-        ),
-    }
-    while let Some(flag) = it.next() {
-        let value = |it: &mut std::slice::Iter<'_, String>| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match flag.as_str() {
-            "--epochs" => {
-                opts.epochs = value(&mut it)?
-                    .parse()
-                    .map_err(|e| format!("--epochs: {e}"))?;
-            }
-            "--tasks" => {
-                opts.tasks = Some(
-                    value(&mut it)?
-                        .parse()
-                        .map_err(|e| format!("--tasks: {e}"))?,
-                );
-            }
-            "--seed" => {
-                opts.seed = value(&mut it)?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?;
-            }
-            "--spec" => {
-                opts.campaign.spec = value(&mut it)?
-                    .parse::<FaultSpec>()
-                    .map_err(|e| format!("--spec: {e}"))?;
-            }
-            "--fus" => {
-                opts.campaign.fus = value(&mut it)?.parse().map_err(|e| format!("--fus: {e}"))?;
-            }
-            "--threads" => {
-                opts.threads = value(&mut it)?
-                    .parse::<usize>()
-                    .map_err(|e| format!("--threads: {e}"))?
-                    .max(1);
-            }
-            "--json" => opts.json = true,
-            "--out" => opts.out = Some(value(&mut it)?),
-            other => return Err(format!("unknown flag {other:?}\n\n{}", usage())),
-        }
-    }
-    Ok(opts)
-}
-
-fn write_or_print(out: &Option<String>, rendered: &str) -> ExitCode {
-    match out {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, rendered) {
-                eprintln!("cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            ExitCode::SUCCESS
-        }
-        None => {
-            print!("{rendered}");
-            if !rendered.ends_with('\n') {
-                println!();
-            }
-            ExitCode::SUCCESS
-        }
-    }
-}
-
-fn run_adapt_campaign(opts: &AdaptOptions) -> ExitCode {
-    let mut config = opts.campaign.clone();
-    if let Some(tasks) = opts.tasks {
-        config.tasks = u32::try_from(tasks.max(1)).map_or(u32::MAX, |t| t);
-    }
-    config.seed = opts.seed;
-    let report = match run_adaptive_campaign(&config, &AdaptConfig::default()) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("adaptive campaign failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if opts.json {
-        return write_or_print(&opts.out, &report.to_json());
-    }
-    let mut text = String::new();
-    use std::fmt::Write as _;
-    let _ = writeln!(
-        text,
-        "adaptive campaign: {} tasks, seed {:#x}, spec {:?}, {} epochs",
-        report.campaign.tasks, report.campaign.seed, report.campaign.spec, report.epochs
+    let mut text = format!(
+        "adaptive campaign: {} tasks, seed {:#x}, spec {:?}, {} epochs\n{:<22} {:>8}\n",
+        report.campaign.tasks,
+        report.campaign.seed,
+        report.campaign.spec,
+        report.epochs,
+        "resolution",
+        "count"
     );
-    let _ = writeln!(text, "{:<22} {:>8}", "resolution", "count");
     for (res, n) in report.campaign.resolution_counts() {
         let _ = writeln!(text, "{res:<22} {n:>8}");
     }
@@ -763,231 +757,201 @@ fn run_adapt_campaign(opts: &AdaptOptions) -> ExitCode {
         report.released_fus,
         report.latched_fus
     );
-    write_or_print(&opts.out, &text)
-}
-
-fn run_adapt(opts: &AdaptOptions) -> ExitCode {
-    if opts.benches.is_empty() {
-        return run_adapt_campaign(opts);
-    }
-    // One closed-loop series per worker; index-ordered merge keeps the
-    // output byte-identical for any --threads value (the report
-    // serializes only simulated quantities).
-    let reports = perf::parallel_map(opts.threads, opts.benches.len(), |i| {
-        AdaptBenchReport::collect(
-            opts.benches[i],
-            opts.epochs,
-            opts.tasks.unwrap_or(1),
-            opts.seed,
-            AdaptConfig::default(),
-        )
-    });
-    let reports = match reports {
-        Ok(r) => r,
-        Err(p) => {
-            eprintln!("{p}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let rendered = if opts.json {
-        capcheri_bench::adapt::reports_to_json(&reports)
-    } else {
-        capcheri_bench::adapt::render_all(&reports)
-    };
-    write_or_print(&opts.out, &rendered)
-}
-
-fn parse(args: &[String]) -> Result<Options, String> {
-    let mut opts = Options {
-        benches: Vec::new(),
-        variant: SystemVariant::CheriCpuCheriAccel,
-        tasks: 1,
-        seed: 0xC0DE,
-        threads: perf::auto_threads(),
-        json: false,
-        trace_out: None,
-    };
-    let mut it = args.iter();
-    let first = it.next().ok_or_else(usage)?;
-    if first == "all" {
-        opts.benches = Benchmark::ALL.to_vec();
-    } else {
-        opts.benches.push(
-            first
-                .parse::<Benchmark>()
-                .map_err(|e| format!("{e}\n\n{}", usage()))?,
-        );
-    }
-    while let Some(flag) = it.next() {
-        let value = |it: &mut std::slice::Iter<'_, String>| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match flag.as_str() {
-            "--variant" => {
-                let v = value(&mut it)?;
-                opts.variant = SystemVariant::ALL
-                    .into_iter()
-                    .find(|x| x.label() == v)
-                    .ok_or_else(|| format!("unknown variant {v:?}"))?;
-            }
-            "--tasks" => {
-                opts.tasks = value(&mut it)?
-                    .parse()
-                    .map_err(|e| format!("--tasks: {e}"))?;
-            }
-            "--seed" => {
-                opts.seed = value(&mut it)?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?;
-            }
-            "--threads" => {
-                opts.threads = value(&mut it)?
-                    .parse::<usize>()
-                    .map_err(|e| format!("--threads: {e}"))?
-                    .max(1);
-            }
-            "--json" => opts.json = true,
-            "--trace-out" => opts.trace_out = Some(value(&mut it)?),
-            other => return Err(format!("unknown flag {other:?}\n\n{}", usage())),
-        }
-    }
-    if opts.trace_out.is_some() && opts.benches.len() > 1 {
-        return Err("--trace-out needs a single benchmark (events from \
-                    several runs would share one file)"
-            .to_owned());
-    }
-    Ok(opts)
+    emit(a.out.as_deref(), &text)
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("conformance") {
-        return match parse_conformance(&args[1..]) {
-            Ok((seed, ops, json)) => run_conformance(seed, ops, json),
-            Err(msg) => {
-                eprintln!("{msg}");
-                // Exit 1 is reserved for "property violated"; a bad
-                // invocation is an internal error (exit 2), so CI can
-                // tell a red verdict from a broken harness.
-                ExitCode::from(2)
-            }
-        };
-    }
-    if args.first().map(String::as_str) == Some("verify") {
-        return match parse_verify(&args[1..]) {
-            Ok((cfg, json, out)) => run_verify(cfg, json, out),
-            Err(msg) => {
-                eprintln!("{msg}");
-                ExitCode::from(2)
-            }
-        };
-    }
-    if args.first().map(String::as_str) == Some("analyze") {
-        return match parse_analyze(&args[1..]) {
-            Ok(opts) => run_analyze(&opts),
-            Err(msg) => {
-                eprintln!("{msg}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if args.first().map(String::as_str) == Some("profile") {
-        return match parse_profile(&args[1..]) {
-            Ok(opts) => run_profile(&opts),
-            Err(msg) => {
-                eprintln!("{msg}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if args.first().map(String::as_str) == Some("adapt") {
-        return match parse_adapt(&args[1..]) {
-            Ok(opts) => run_adapt(&opts),
-            Err(msg) => {
-                eprintln!("{msg}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if args.first().map(String::as_str) == Some("faults") {
-        return match parse_faults(&args[1..]) {
-            Ok((config, json)) => run_faults(&config, json),
-            Err(msg) => {
-                eprintln!("{msg}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    let opts = match parse(&args) {
-        Ok(o) => o,
-        Err(msg) => {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let outcome = parse(&argv)
+        .map_err(Failure::Harness)
+        .and_then(|(cmd, args)| (cmd.run)(&args));
+    match outcome {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(Failure::Violated(msg)) => {
             eprintln!("{msg}");
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
-    };
-    let observed = opts.json || opts.trace_out.is_some();
-    if !opts.json {
-        println!(
-            "{:<14} {:>12} {:>8} {:>12} {:>10} {:>9}",
-            "benchmark", "variant", "tasks", "cycles", "setup", "bus util"
-        );
+        // Exit 1 is reserved for "property violated"; a broken harness
+        // exits 2, so CI can tell a red verdict from a broken harness.
+        Err(Failure::Harness(msg)) => {
+            eprintln!("{msg}");
+            ExitCode::from(2)
+        }
     }
-    // Each cell runs on its own worker with its own registry and trace
-    // buffer; merging in benchmark order keeps every output byte-identical
-    // to a sequential run. A worker panic surfaces as one clean error.
-    let cells = perf::parallel_map(opts.threads, opts.benches.len(), |i| {
-        let bench = opts.benches[i];
-        if observed {
-            let run = runner::run_benchmark_observed(bench, opts.variant, opts.tasks, opts.seed);
-            let trace = opts
-                .trace_out
-                .is_some()
-                .then(|| obs::chrome::chrome_trace_json(&run.events.sorted_by_cycle()));
-            let report = BenchReport {
-                bench: bench.name().to_owned(),
-                variant: run.result.variant.label().to_owned(),
-                tasks: run.result.tasks,
-                seed: opts.seed,
-                metrics: run.metrics,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Every word the parser might meet: subcommands, targets, every
+    /// flag, and good and bad values.
+    const VOCABULARY: [&str; 42] = [
+        "faults",
+        "conformance",
+        "verify",
+        "analyze",
+        "profile",
+        "adapt",
+        "all",
+        "campaign",
+        "aes",
+        "gemm_ncubed",
+        "--variant",
+        "--tasks",
+        "--seed",
+        "--threads",
+        "--json",
+        "--out",
+        "--trace-out",
+        "--spec",
+        "--fus",
+        "--ops",
+        "--streams",
+        "--epochs",
+        "--depth",
+        "--objects",
+        "--planted-bug",
+        "--lint",
+        "--flow",
+        "--incremental",
+        "--bogus",
+        "0",
+        "1",
+        "4",
+        "300",
+        "-1",
+        "x",
+        "18446744073709551616",
+        "ccpu",
+        "ccpu+caccel",
+        "none",
+        "all:0.5",
+        "off-by-one",
+        "",
+    ];
+
+    fn argv(words: &[usize]) -> Vec<String> {
+        words.iter().map(|&w| VOCABULARY[w].to_owned()).collect()
+    }
+
+    fn args(line: &str) -> Args {
+        let argv: Vec<String> = line.split_whitespace().map(str::to_owned).collect();
+        parse(&argv).expect("valid invocation").1
+    }
+
+    proptest! {
+        /// Any argv drawn from the vocabulary parses or is refused; the
+        /// parser never panics.
+        #[test]
+        fn parser_never_panics(words in prop::collection::vec(0..VOCABULARY.len(), 0..8)) {
+            let argv = argv(&words);
+            let parsed = std::panic::catch_unwind(|| parse(&argv).map(|(cmd, _)| cmd.name));
+            prop_assert!(parsed.is_ok(), "parser panicked on {argv:?}");
+        }
+    }
+
+    #[test]
+    fn every_table_flag_parses_and_others_are_refused() {
+        let all_flags: Vec<&str> = COMMANDS
+            .iter()
+            .chain([&RUN])
+            .flat_map(|c| c.flags.iter().copied())
+            .collect();
+        for cmd in COMMANDS.iter().chain([&RUN]) {
+            let head: Vec<&str> = match cmd.target {
+                Target::None => vec![cmd.name],
+                _ if cmd.name == RUN.name => vec!["aes"],
+                _ => vec![cmd.name, "aes"],
             };
-            (run.result, Some(report), trace)
-        } else {
-            let r = runner::run_benchmark(bench, opts.variant, opts.tasks, opts.seed);
-            (r, None, None)
-        }
-    });
-    let cells = match cells {
-        Ok(c) => c,
-        Err(p) => {
-            eprintln!("{p}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut reports = Vec::new();
-    for (bench, (r, report, trace)) in opts.benches.iter().zip(cells) {
-        if let (Some(path), Some(json)) = (&opts.trace_out, trace) {
-            if let Err(e) = std::fs::write(path, json) {
-                eprintln!("cannot write {path}: {e}");
-                return ExitCode::FAILURE;
+            for &flag in &all_flags {
+                let value = match flag {
+                    "--variant" => Some("ccpu"),
+                    "--spec" => Some("none"),
+                    "--planted-bug" => Some("off-by-one"),
+                    "--out" | "--trace-out" => Some("file"),
+                    "--json" | "--lint" | "--flow" | "--incremental" => None,
+                    _ => Some("2"),
+                };
+                let line: Vec<String> = head
+                    .iter()
+                    .copied()
+                    .chain([flag])
+                    .chain(value)
+                    .map(str::to_owned)
+                    .collect();
+                let parsed = parse(&line);
+                assert_eq!(
+                    parsed.is_ok(),
+                    cmd.flags.contains(&flag),
+                    "{line:?}: {:?}",
+                    parsed.err()
+                );
             }
         }
-        reports.extend(report);
-        if !opts.json {
-            println!(
-                "{:<14} {:>12} {:>8} {:>12} {:>10} {:>8.1}%",
-                bench.name(),
-                r.variant.label(),
-                r.tasks,
-                r.cycles,
-                r.setup_cycles,
-                r.bus_utilization * 100.0
-            );
+    }
+
+    #[test]
+    fn subcommands_and_targets_resolve() {
+        let name = |line: &str| {
+            let argv: Vec<String> = line.split_whitespace().map(str::to_owned).collect();
+            parse(&argv).map(|(cmd, a)| (cmd.name, a.benches.len()))
+        };
+        assert_eq!(name("aes"), Ok(("run", 1)));
+        assert_eq!(name("all --json"), Ok(("run", Benchmark::ALL.len())));
+        assert_eq!(name("profile gemm_ncubed"), Ok(("profile", 1)));
+        assert_eq!(name("adapt campaign"), Ok(("adapt", 0)));
+        assert_eq!(name("verify"), Ok(("verify", 0)));
+        assert!(name("campaign").is_err(), "only adapt takes campaign");
+        assert!(name("profile").is_err(), "profile needs a target");
+        assert!(name("").is_err(), "no arguments prints usage");
+        assert!(name("nosuch").is_err());
+    }
+
+    #[test]
+    fn values_are_typed_and_threads_clamp_to_one() {
+        let a = args("aes --variant ccpu --tasks 3 --seed 9 --threads 0 --json");
+        assert_eq!(a.variant, Some(SystemVariant::CheriCpu));
+        assert_eq!(
+            (a.tasks, a.seed, a.threads, a.json),
+            (Some(3), Some(9), Some(1), true)
+        );
+        assert_eq!(a.threads(), 1);
+        let a = args("analyze --incremental --ops 5");
+        assert!(a.flow && a.incremental);
+        assert_eq!(a.ops, Some(5));
+        let a = args("verify --planted-bug off-by-one --depth 3");
+        assert_eq!(
+            (a.planted, a.depth),
+            (Some(PlantedBug::BoundsOffByOne), Some(3))
+        );
+        for bad in [
+            "aes --tasks x",
+            "aes --variant gpu",
+            "aes --seed",
+            "verify --planted-bug other",
+            "adapt aes --spec bogus:1",
+        ] {
+            let argv: Vec<String> = bad.split_whitespace().map(str::to_owned).collect();
+            assert!(parse(&argv).is_err(), "{bad}");
         }
     }
-    if opts.json {
-        println!("{}", reports_to_json(&reports));
+
+    #[test]
+    fn a_denied_benign_kernel_is_a_violation_and_other_run_errors_are_not() {
+        use hetsim::{Access, Denial, DenyReason, MasterId, TaskId};
+        let denial = Denial {
+            access: Access::read(MasterId(1), TaskId(0), 0x1000, 4),
+            reason: DenyReason::OutOfBounds,
+        };
+        let bench = Benchmark::Aes;
+        assert!(matches!(
+            failed(bench, &RunError::Denied(denial)),
+            Failure::Violated(_)
+        ));
+        for e in [RunError::NoTrace, RunError::NoChecker(SystemVariant::Cpu)] {
+            assert!(matches!(failed(bench, &e), Failure::Harness(_)), "{e}");
+        }
     }
-    ExitCode::SUCCESS
 }

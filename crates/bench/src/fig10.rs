@@ -58,33 +58,21 @@ pub fn row(bench: Benchmark) -> BreakdownRow {
     BreakdownRow { bench, cycles }
 }
 
-/// All rows.
+/// All rows, computed on `threads` workers; any thread count produces
+/// the same rows in the same order.
 #[must_use]
-pub fn rows() -> Vec<BreakdownRow> {
-    rows_threads(1)
-}
-
-/// [`rows`] fanned out over a worker pool; any thread count produces the
-/// same rows in the same order.
-#[must_use]
-pub fn rows_threads(threads: usize) -> Vec<BreakdownRow> {
+pub fn rows(threads: usize) -> Vec<BreakdownRow> {
     crate::fan_out(threads, Benchmark::ALL.len(), |i| row(Benchmark::ALL[i]))
 }
 
-/// Renders Figure 10.
-#[must_use]
-pub fn report() -> String {
-    report_threads(1)
-}
-
-/// [`report`] with its benchmark cells computed on `threads` workers —
+/// Renders Figure 10, its benchmark cells computed on `threads` workers —
 /// byte-identical output for any thread count.
 #[must_use]
-pub fn report_threads(threads: usize) -> String {
+pub fn report(threads: usize) -> String {
     let mut headers = vec!["Benchmark"];
     headers.extend(SystemVariant::ALL.iter().map(|v| v.label()));
     headers.extend(["cCPU ovh", "CapChk ovh", "Speedup"]);
-    let table_rows: Vec<Vec<String>> = rows_threads(threads)
+    let table_rows: Vec<Vec<String>> = rows(threads)
         .into_iter()
         .map(|r| {
             let mut row = vec![r.bench.name().to_owned()];

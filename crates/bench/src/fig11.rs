@@ -47,30 +47,18 @@ pub fn row(tasks: usize) -> ParallelismRow {
     }
 }
 
-/// The full sweep.
+/// The full sweep, computed on `threads` workers; any thread count
+/// produces the same rows in the same order.
 #[must_use]
-pub fn rows() -> Vec<ParallelismRow> {
-    rows_threads(1)
-}
-
-/// [`rows`] fanned out over a worker pool; any thread count produces the
-/// same rows in the same order.
-#[must_use]
-pub fn rows_threads(threads: usize) -> Vec<ParallelismRow> {
+pub fn rows(threads: usize) -> Vec<ParallelismRow> {
     crate::fan_out(threads, PARALLELISM.len(), |i| row(PARALLELISM[i]))
 }
 
-/// Renders Figure 11.
-#[must_use]
-pub fn report() -> String {
-    report_threads(1)
-}
-
-/// [`report`] with its sweep points computed on `threads` workers —
+/// Renders Figure 11, its sweep points computed on `threads` workers —
 /// byte-identical output for any thread count.
 #[must_use]
-pub fn report_threads(threads: usize) -> String {
-    let table_rows: Vec<Vec<String>> = rows_threads(threads)
+pub fn report(threads: usize) -> String {
+    let table_rows: Vec<Vec<String>> = rows(threads)
         .into_iter()
         .map(|r| {
             vec![

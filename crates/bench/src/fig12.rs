@@ -47,30 +47,18 @@ pub fn row(bench: Benchmark) -> EntriesRow {
     }
 }
 
-/// All rows.
+/// All rows, computed on `threads` workers; any thread count produces
+/// the same rows in the same order.
 #[must_use]
-pub fn rows() -> Vec<EntriesRow> {
-    rows_threads(1)
-}
-
-/// [`rows`] fanned out over a worker pool; any thread count produces the
-/// same rows in the same order.
-#[must_use]
-pub fn rows_threads(threads: usize) -> Vec<EntriesRow> {
+pub fn rows(threads: usize) -> Vec<EntriesRow> {
     crate::fan_out(threads, Benchmark::ALL.len(), |i| row(Benchmark::ALL[i]))
 }
 
-/// Renders Figure 12.
-#[must_use]
-pub fn report() -> String {
-    report_threads(1)
-}
-
-/// [`report`] with its benchmark cells computed on `threads` workers —
+/// Renders Figure 12, its benchmark cells computed on `threads` workers —
 /// byte-identical output for any thread count.
 #[must_use]
-pub fn report_threads(threads: usize) -> String {
-    let table_rows: Vec<Vec<String>> = rows_threads(threads)
+pub fn report(threads: usize) -> String {
+    let table_rows: Vec<Vec<String>> = rows(threads)
         .into_iter()
         .map(|r| {
             vec![
@@ -107,7 +95,7 @@ mod tests {
 
     #[test]
     fn capchecker_needs_no_more_entries_than_the_iommu() {
-        for r in rows() {
+        for r in rows(1) {
             assert!(
                 r.capchecker_entries <= r.iommu_entries,
                 "{}: {} vs {}",
@@ -130,14 +118,14 @@ mod tests {
 
     #[test]
     fn every_row_fits_the_256_entry_prototype() {
-        for r in rows() {
+        for r in rows(1) {
             assert!(r.capchecker_entries <= 256, "{}", r.bench);
         }
     }
 
     #[test]
     fn superpages_reduce_but_never_beat_the_capchecker() {
-        for r in rows() {
+        for r in rows(1) {
             assert!(r.iommu_superpage_entries <= r.iommu_entries, "{}", r.bench);
             assert!(
                 r.capchecker_entries <= r.iommu_superpage_entries,

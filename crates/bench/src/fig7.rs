@@ -37,30 +37,18 @@ pub fn row(bench: Benchmark) -> SpeedupRow {
     }
 }
 
-/// All 19 rows.
+/// All 19 rows, computed on `threads` workers; any thread count produces
+/// the same rows in the same order.
 #[must_use]
-pub fn rows() -> Vec<SpeedupRow> {
-    rows_threads(1)
-}
-
-/// [`rows`] fanned out over a worker pool; any thread count produces the
-/// same rows in the same order.
-#[must_use]
-pub fn rows_threads(threads: usize) -> Vec<SpeedupRow> {
+pub fn rows(threads: usize) -> Vec<SpeedupRow> {
     crate::fan_out(threads, Benchmark::ALL.len(), |i| row(Benchmark::ALL[i]))
 }
 
-/// Renders Figure 7 as a table.
+/// Renders Figure 7 as a table, its benchmark cells computed on
+/// `threads` workers — byte-identical output for any thread count.
 #[must_use]
-pub fn report() -> String {
-    report_threads(1)
-}
-
-/// [`report`] with its benchmark cells computed on `threads` workers —
-/// byte-identical output for any thread count.
-#[must_use]
-pub fn report_threads(threads: usize) -> String {
-    let table_rows: Vec<Vec<String>> = rows_threads(threads)
+pub fn report(threads: usize) -> String {
+    let table_rows: Vec<Vec<String>> = rows(threads)
         .into_iter()
         .map(|r| {
             vec![

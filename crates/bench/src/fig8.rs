@@ -68,16 +68,10 @@ pub fn row(bench: Benchmark) -> OverheadRow {
     }
 }
 
-/// All rows plus geometric means.
+/// All rows, computed on `threads` workers; any thread count produces
+/// the same rows in the same order ([`geomeans`] summarizes them).
 #[must_use]
-pub fn rows() -> Vec<OverheadRow> {
-    rows_threads(1)
-}
-
-/// [`rows`] fanned out over a worker pool; any thread count produces the
-/// same rows in the same order.
-#[must_use]
-pub fn rows_threads(threads: usize) -> Vec<OverheadRow> {
+pub fn rows(threads: usize) -> Vec<OverheadRow> {
     crate::fan_out(threads, Benchmark::ALL.len(), |i| row(Benchmark::ALL[i]))
 }
 
@@ -94,17 +88,11 @@ pub fn geomeans(rows: &[OverheadRow]) -> (f64, f64, f64) {
     )
 }
 
-/// Renders Figure 8.
-#[must_use]
-pub fn report() -> String {
-    report_threads(1)
-}
-
-/// [`report`] with its benchmark cells computed on `threads` workers —
+/// Renders Figure 8, its benchmark cells computed on `threads` workers —
 /// byte-identical output for any thread count.
 #[must_use]
-pub fn report_threads(threads: usize) -> String {
-    let rows = rows_threads(threads);
+pub fn report(threads: usize) -> String {
+    let rows = rows(threads);
     let mut table_rows: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {

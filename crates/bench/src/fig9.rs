@@ -95,16 +95,10 @@ pub fn row(system_index: usize) -> MixedRow {
     }
 }
 
-/// All 20 systems.
+/// All 20 systems, computed on `threads` workers; any thread count produces
+/// the same rows in the same order.
 #[must_use]
-pub fn rows() -> Vec<MixedRow> {
-    rows_threads(1)
-}
-
-/// [`rows`] fanned out over a worker pool; any thread count produces the
-/// same rows in the same order.
-#[must_use]
-pub fn rows_threads(threads: usize) -> Vec<MixedRow> {
+pub fn rows(threads: usize) -> Vec<MixedRow> {
     crate::fan_out(threads, SYSTEMS, row)
 }
 
@@ -118,17 +112,11 @@ pub fn mean_overhead(rows: &[MixedRow]) -> f64 {
     rows.iter().map(|r| r.overhead).sum::<f64>() / rows.len().max(1) as f64
 }
 
-/// Renders Figure 9.
-#[must_use]
-pub fn report() -> String {
-    report_threads(1)
-}
-
-/// [`report`] with its system cells computed on `threads` workers —
+/// Renders Figure 9, its system cells computed on `threads` workers —
 /// byte-identical output for any thread count.
 #[must_use]
-pub fn report_threads(threads: usize) -> String {
-    let rows = rows_threads(threads);
+pub fn report(threads: usize) -> String {
+    let rows = rows(threads);
     let mean = mean_overhead(&rows);
     let table_rows: Vec<Vec<String>> = rows
         .iter()
@@ -170,7 +158,7 @@ mod tests {
         // population: the mean overhead across the twenty mixes is
         // positive (the checker costs something) and modest (it costs
         // little).
-        let rows = rows_threads(perf::auto_threads());
+        let rows = rows(perf::auto_threads());
         assert_eq!(rows.len(), SYSTEMS);
         for r in &rows {
             assert_eq!(r.mix.len(), TASKS_PER_SYSTEM);

@@ -358,7 +358,7 @@ impl FlowReport {
 /// seeded streams at 300 ops, analyzed incrementally — so every golden
 /// run also re-proves the incremental ≡ from-scratch guarantee.
 #[must_use]
-pub fn report_threads(threads: usize) -> String {
+pub fn report(threads: usize) -> String {
     FlowReport::collect(1, 2, 300, threads, true).to_json()
 }
 

@@ -1,8 +1,9 @@
 //! # capcheri-bench — the paper's evaluation, regenerated
 //!
 //! One module per table/figure of the evaluation section, each exposing a
-//! typed `rows()`/data function and a `report()` string that prints the
-//! same rows/series the paper shows. The matching binaries
+//! typed `rows(threads)`/data function and a `report(threads)` string
+//! that prints the same rows/series the paper shows, byte-identical at
+//! any thread count (tables take no thread count). The matching binaries
 //! (`cargo run -p capcheri-bench --release --bin <name>`) are thin wrappers:
 //!
 //! | target | reproduces |

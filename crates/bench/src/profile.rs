@@ -8,11 +8,11 @@
 //! readings never enter this report — they belong to the diagnostic
 //! domain ([`perf::PoolProfile`], rendered as text only).
 
-use crate::runner::{run_benchmark_profiled, ProfiledRun};
-use capchecker::SystemVariant;
+use crate::runner::{run, RunError, RunResult, RunSpec};
+use capchecker::{CheckAttribution, SystemVariant};
 use machsuite::Benchmark;
 use obs::json::JsonWriter;
-use obs::SpanSnapshot;
+use obs::{ProfileSnapshot, SpanSnapshot};
 use std::fmt::Write as _;
 
 /// Schema identifier stamped into every profile report.
@@ -21,48 +21,54 @@ pub const PROFILE_SCHEMA: &str = "capcheri.profile.v1";
 /// One profiled benchmark run: its identity plus the frozen profile.
 #[derive(Clone, Debug)]
 pub struct ProfileReport {
-    /// Which benchmark ran.
-    pub bench: Benchmark,
-    /// Under which system configuration.
-    pub variant: SystemVariant,
-    /// Concurrent accelerator tasks.
-    pub tasks: usize,
     /// The run's seed.
     pub seed: u64,
-    /// The profiled run itself.
-    pub run: ProfiledRun,
+    /// The run's result, which also names the benchmark, the system
+    /// configuration and the task count that actually ran.
+    pub result: RunResult,
+    /// The span tree and profiler histograms.
+    pub profile: ProfileSnapshot,
+    /// Per-master / per-`(task, object)` check attribution (`None` on
+    /// variants without a checker).
+    pub attribution: Option<CheckAttribution>,
 }
 
 impl ProfileReport {
     /// Runs `bench` with the profiler attached and wraps the take.
-    #[must_use]
+    ///
+    /// # Errors
+    ///
+    /// As [`run`].
     pub fn collect(
         bench: Benchmark,
         variant: SystemVariant,
         tasks: usize,
         seed: u64,
-    ) -> ProfileReport {
-        ProfileReport {
-            bench,
-            variant,
-            tasks,
+    ) -> Result<ProfileReport, RunError> {
+        let out = run(&RunSpec {
+            profile: true,
+            ..RunSpec::new(bench, variant, tasks, seed)
+        })?;
+        Ok(ProfileReport {
             seed,
-            run: run_benchmark_profiled(bench, variant, tasks, seed),
-        }
+            result: out.result,
+            profile: out.profile.expect("profiled runs carry a profile"),
+            attribution: out.attribution,
+        })
     }
 
     /// Fraction of the run's total cycles the span tree attributes
     /// (1.0 = every cycle accounted for).
     #[must_use]
     pub fn coverage(&self) -> f64 {
-        if self.run.result.cycles == 0 {
+        if self.result.cycles == 0 {
             return 1.0;
         }
-        self.run.profile.attributed_cycles() as f64 / self.run.result.cycles as f64
+        self.profile.attributed_cycles() as f64 / self.result.cycles as f64
     }
 
     fn write_span(&self, w: &mut JsonWriter, at: usize) {
-        let span = &self.run.profile.spans[at];
+        let span = &self.profile.spans[at];
         w.begin_object();
         w.key("name");
         w.string(span.name);
@@ -86,19 +92,19 @@ impl ProfileReport {
         w.key("schema");
         w.string(PROFILE_SCHEMA);
         w.key("bench");
-        w.string(self.bench.name());
+        w.string(self.result.bench.name());
         w.key("variant");
-        w.string(&self.variant.to_string());
+        w.string(&self.result.variant.to_string());
         w.key("tasks");
-        w.u64(self.tasks as u64);
+        w.u64(self.result.tasks as u64);
         w.key("seed");
         w.u64(self.seed);
         w.key("cycles");
-        w.u64(self.run.result.cycles);
+        w.u64(self.result.cycles);
         w.key("attributed_cycles");
-        w.u64(self.run.profile.attributed_cycles());
+        w.u64(self.profile.attributed_cycles());
         w.key("spans");
-        if self.run.profile.spans.is_empty() {
+        if self.profile.spans.is_empty() {
             w.begin_array();
             w.end_array();
         } else {
@@ -108,7 +114,7 @@ impl ProfileReport {
         }
         w.key("histograms");
         w.begin_object();
-        for (name, h) in &self.run.profile.metrics.histograms {
+        for (name, h) in &self.profile.metrics.histograms {
             w.key(name);
             w.begin_object();
             w.key("count");
@@ -134,7 +140,7 @@ impl ProfileReport {
         }
         w.end_object();
         w.key("attribution");
-        match &self.run.attribution {
+        match &self.attribution {
             None => {
                 w.begin_object();
                 w.end_object();
@@ -176,20 +182,20 @@ impl ProfileReport {
         let _ = writeln!(
             out,
             "profile: {} {} tasks={} seed={}",
-            self.bench.name(),
-            self.variant,
-            self.tasks,
+            self.result.bench.name(),
+            self.result.variant,
+            self.result.tasks,
             self.seed
         );
         let _ = writeln!(
             out,
             "  cycles {}, attributed {} ({:.1}%)",
-            self.run.result.cycles,
-            self.run.profile.attributed_cycles(),
+            self.result.cycles,
+            self.profile.attributed_cycles(),
             self.coverage() * 100.0
         );
         let _ = writeln!(out, "  spans (self cycles):");
-        self.run.profile.walk(|depth, span: &SpanSnapshot| {
+        self.profile.walk(|depth, span: &SpanSnapshot| {
             let indent = "  ".repeat(depth + 2);
             let _ = writeln!(
                 out,
@@ -197,9 +203,9 @@ impl ProfileReport {
                 span.name, span.cycles, span.count
             );
         });
-        if !self.run.profile.metrics.histograms.is_empty() {
+        if !self.profile.metrics.histograms.is_empty() {
             let _ = writeln!(out, "  histograms:");
-            for (name, h) in &self.run.profile.metrics.histograms {
+            for (name, h) in &self.profile.metrics.histograms {
                 let _ = writeln!(
                     out,
                     "    {name:<18} count={} mean={:.1} max={}",
@@ -207,7 +213,7 @@ impl ProfileReport {
                 );
             }
         }
-        if let Some(a) = &self.run.attribution {
+        if let Some(a) = &self.attribution {
             let t = a.total();
             let _ = writeln!(
                 out,
@@ -285,7 +291,8 @@ mod tests {
 
     #[test]
     fn report_json_is_valid_and_carries_the_tree() {
-        let r = ProfileReport::collect(Benchmark::Aes, SystemVariant::CheriCpuCheriAccel, 1, 3);
+        let r = ProfileReport::collect(Benchmark::Aes, SystemVariant::CheriCpuCheriAccel, 1, 3)
+            .unwrap();
         let json = r.to_json();
         obs::json::validate(&json).unwrap();
         for needle in [
@@ -304,7 +311,7 @@ mod tests {
     fn coverage_is_high_and_never_exceeds_one() {
         for bench in [Benchmark::Aes, Benchmark::SpmvCrs] {
             for variant in [SystemVariant::CheriCpu, SystemVariant::CheriCpuCheriAccel] {
-                let r = ProfileReport::collect(bench, variant, 1, 1);
+                let r = ProfileReport::collect(bench, variant, 1, 1).unwrap();
                 let cov = r.coverage();
                 assert!(cov <= 1.0 + 1e-12, "{bench} {variant}: {cov}");
                 assert!(cov >= 0.95, "{bench} {variant}: only {cov} attributed");
@@ -319,10 +326,29 @@ mod tests {
             SystemVariant::CheriCpuCheriAccel,
             2,
             1,
-        );
+        )
+        .unwrap();
         let text = r.render();
         assert!(text.contains("spans (self cycles)"), "{text}");
         assert!(text.contains("bus_busy"), "{text}");
         assert!(text.contains("hot (task,object) pairs"), "{text}");
+    }
+
+    #[test]
+    fn report_records_the_task_count_that_ran() {
+        // The runner runs exactly one task on a CPU variant and at least
+        // one on an accelerator variant, whatever was requested.
+        for (variant, requested, ran) in [
+            (SystemVariant::CheriCpu, 4, 1),
+            (SystemVariant::CheriCpuCheriAccel, 0, 1),
+            (SystemVariant::CheriCpuCheriAccel, 2, 2),
+        ] {
+            let r = ProfileReport::collect(Benchmark::Aes, variant, requested, 1).unwrap();
+            assert_eq!(r.result.tasks, ran, "{variant} --tasks {requested}");
+            assert!(
+                r.to_json().contains(&format!("\"tasks\":{ran},")),
+                "{variant} --tasks {requested}"
+            );
+        }
     }
 }

@@ -2,20 +2,21 @@
 //! and costs it with the timing models.
 
 use capchecker::{
-    CacheStats, CachedCheckerConfig, CapChecker, CheckAttribution, HeteroSystem, ProtectionChoice,
-    StaticVerdictMap, SystemVariant, TaskRequest,
+    CacheStats, CachedCheckerConfig, CapChecker, CheckAttribution, DriverError, HeteroSystem,
+    ProtectionChoice, StaticVerdictMap, SystemVariant, TaskRequest,
 };
-use capcheri_analyze::{analyze_benchmark, declared_perms, BenchAnalysis};
+use capcheri_analyze::{declared_perms, BenchAnalysis};
 use hetsim::timing::{
-    simulate_accel_system_prof, simulate_cpu_prof, simulate_cpu_traced, AccelTask,
-    AccelTimingConfig, BusConfig, CpuTiming,
+    simulate_accel_system_prof, simulate_cpu, simulate_cpu_prof, AccelTask, AccelTimingConfig,
+    BusConfig, CpuTiming,
 };
-use hetsim::{Cycles, Trace};
+use hetsim::{Cycles, Denial, Trace};
 use machsuite::Benchmark;
 use obs::{
     NullProfiler, NullTracer, ProfileSnapshot, Profiler, Registry, SharedTracer, Snapshot,
     SpanProfiler, TraceBuffer, Tracer,
 };
+use std::fmt;
 
 /// Pipeline depth the CapChecker adds to each request in the prototype.
 pub const CHECKER_PIPELINE_LATENCY: Cycles = 1;
@@ -38,18 +39,112 @@ pub struct RunResult {
     pub bus_utilization: f64,
 }
 
-/// [`run_benchmark`] plus the full observability take: the metrics
-/// snapshot and the recorded event trace.
-#[derive(Clone, Debug)]
-pub struct ObservedRun {
-    /// The same result the untraced path produces (bit-identical cycles:
-    /// both paths share one implementation).
-    pub result: RunResult,
-    /// The frozen metrics registry for this run.
-    pub metrics: Snapshot,
-    /// Every event the run recorded (driver, checker, bus, L1 domains).
-    pub events: TraceBuffer,
+/// One cell of the evaluation: a benchmark under one system
+/// configuration, plus what to swap in and what to record. Every entry
+/// point costs its cell through [`run`], so an observed, profiled, cached
+/// or elided run differs from the plain one only in what the spec asks.
+#[derive(Clone, Copy, Debug)]
+pub struct RunSpec<'a> {
+    /// Which benchmark to run.
+    pub bench: Benchmark,
+    /// Under which system configuration.
+    pub variant: SystemVariant,
+    /// Concurrent tasks (clamped to at least 1 on accelerator variants
+    /// and to exactly 1 on CPU variants).
+    pub tasks: usize,
+    /// Task `t` initialises its buffers from `seed + t`.
+    pub seed: u64,
+    /// Swap the variant's checker for the cache-backed one (`ccpu+caccel`
+    /// only).
+    pub cache: Option<CachedCheckerConfig>,
+    /// Elide the checks this analysis proved safe (`ccpu+caccel` only):
+    /// tasks get least-privilege device grants, the verdict map is
+    /// retained and installed before each kernel, and when every port is
+    /// proved safe the checker's pipeline stage drops off the bus path.
+    pub elide: Option<&'a BenchAnalysis>,
+    /// Record every event and freeze a metrics snapshot.
+    pub observe: bool,
+    /// Attach the span profiler and check attribution.
+    pub profile: bool,
 }
+
+impl RunSpec<'_> {
+    /// The plain cell: the variant's own protection, nothing recorded.
+    #[must_use]
+    pub fn new(bench: Benchmark, variant: SystemVariant, tasks: usize, seed: u64) -> Self {
+        RunSpec {
+            bench,
+            variant,
+            tasks,
+            seed,
+            cache: None,
+            elide: None,
+            observe: false,
+            profile: false,
+        }
+    }
+}
+
+/// Everything one run produced; the optional parts are `Some` exactly
+/// when the spec asked for them.
+#[derive(Clone, Debug)]
+pub struct RunOutcome {
+    /// The cycle results — bit-identical whatever the spec records.
+    pub result: RunResult,
+    /// The frozen metrics registry (observed runs).
+    pub metrics: Option<Snapshot>,
+    /// Every event the run recorded: driver, checker, bus and L1 domains
+    /// (observed runs).
+    pub events: Option<TraceBuffer>,
+    /// The span tree and profiler histograms — everything serialized from
+    /// it derives from simulated quantities, so it is byte-stable
+    /// (profiled runs).
+    pub profile: Option<ProfileSnapshot>,
+    /// Per-master / per-`(task, object)` check attribution (profiled runs
+    /// on a variant with a checker).
+    pub attribution: Option<CheckAttribution>,
+    /// Cache statistics over the whole run, captured before task teardown
+    /// resets the checker (runs under the cache-backed checker).
+    pub cache: Option<CacheStats>,
+    /// Runtime checks the installed verdict map skipped (zero unless the
+    /// spec elides).
+    pub checks_elided: u64,
+}
+
+/// Why a run could not produce a result.
+#[derive(Debug)]
+pub enum RunError {
+    /// The spec asks for a cache-backed checker or for elision on a
+    /// variant that has no checker.
+    NoChecker(SystemVariant),
+    /// The system cannot host the workload: too many tasks for the
+    /// capability table, the heap or the functional units.
+    DoesNotFit(DriverError),
+    /// The driver failed to load the inputs, run a kernel or hand back
+    /// its trace.
+    Driver(DriverError),
+    /// A kernel completed without a recorded trace.
+    NoTrace,
+    /// The benign benchmark was denied by its own system — a
+    /// protection-model bug, not a property of the workload.
+    Denied(Denial),
+}
+
+impl fmt::Display for RunError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RunError::NoChecker(variant) => {
+                write!(f, "{variant} has no checker to cache or elide")
+            }
+            RunError::DoesNotFit(e) => write!(f, "the workload does not fit the system: {e}"),
+            RunError::Driver(e) => write!(f, "driver error: {e}"),
+            RunError::NoTrace => f.write_str("a kernel completed without recording a trace"),
+            RunError::Denied(denial) => write!(f, "benign kernel {denial}"),
+        }
+    }
+}
+
+impl std::error::Error for RunError {}
 
 /// Builds the system, executes the kernel(s) functionally through the
 /// protected path, and costs the recorded trace(s) under the variant's
@@ -57,8 +152,9 @@ pub struct ObservedRun {
 ///
 /// # Panics
 ///
-/// Panics if the benign benchmark is denied by its own system — that
-/// would be a protection-model bug, and the tests treat it as one.
+/// Panics where [`run`] returns an error: a workload that does not fit,
+/// or a benign benchmark denied by its own system — a protection-model
+/// bug, and the tests treat it as one.
 #[must_use]
 pub fn run_benchmark(
     bench: Benchmark,
@@ -66,301 +162,49 @@ pub fn run_benchmark(
     tasks: usize,
     seed: u64,
 ) -> RunResult {
-    run_inner(
+    match run(&RunSpec::new(bench, variant, tasks, seed)) {
+        Ok(outcome) => outcome.result,
+        // lint: allow(panic-in-hot-path)
+        Err(e) => panic!("{bench} under {variant}: {e}"),
+    }
+}
+
+/// Runs one cell as `spec` describes.
+///
+/// # Errors
+///
+/// [`RunError::NoChecker`] when the spec caches or elides on a variant
+/// without a checker; otherwise whatever kept the workload from running
+/// to completion.
+pub fn run(spec: &RunSpec<'_>) -> Result<RunOutcome, RunError> {
+    let RunSpec {
         bench,
         variant,
-        tasks,
         seed,
-        None,
-        None,
-        None,
-        &mut NullProfiler,
-    )
-    .result
-}
-
-/// A checked run and its statically-elided twin, for the adaptive-elision
-/// figure.
-#[derive(Clone, Debug)]
-pub struct ElidedRun {
-    /// The static analysis that authorized the elision.
-    pub analysis: BenchAnalysis,
-    /// `ccpu+caccel` with every runtime check on the path.
-    pub checked: RunResult,
-    /// The same configuration with proved-safe checks elided: tasks get
-    /// least-privilege device grants, the verdict map is installed, and
-    /// — when every port is proved safe — the checker pipeline stage
-    /// drops off the bus path.
-    pub elided: RunResult,
-    /// Runtime checks the verdict map skipped (functional proof that the
-    /// elision actually happened).
-    pub checks_elided: u64,
-}
-
-impl ElidedRun {
-    /// Cycle speedup of the elided run over the checked one.
-    #[must_use]
-    pub fn speedup(&self) -> f64 {
-        self.checked.cycles as f64 / self.elided.cycles as f64
+        elide,
+        ..
+    } = *spec;
+    if (spec.cache.is_some() || elide.is_some()) && variant != SystemVariant::CheriCpuCheriAccel {
+        return Err(RunError::NoChecker(variant));
     }
-}
-
-/// Runs `bench` under `ccpu+caccel` twice — fully checked, then with the
-/// static analyzer's proof installed — and reports both costs.
-///
-/// The elided run is only as trustworthy as the analysis; the
-/// conformance harness replays elided checkers against the golden oracle
-/// (`conformance::run_ops_elided`), so an unsound verdict map shows up
-/// there as a divergence rather than silently here.
-///
-/// # Panics
-///
-/// As [`run_benchmark`].
-#[must_use]
-pub fn run_benchmark_elided(bench: Benchmark, tasks: usize, seed: u64) -> ElidedRun {
-    let variant = SystemVariant::CheriCpuCheriAccel;
-    let analysis = analyze_benchmark(bench, seed);
-    let checked = run_inner(
-        bench,
-        variant,
-        tasks,
-        seed,
-        None,
-        None,
-        None,
-        &mut NullProfiler,
-    )
-    .result;
-    let elided = run_inner(
-        bench,
-        variant,
-        tasks,
-        seed,
-        None,
-        None,
-        Some(&analysis),
-        &mut NullProfiler,
-    );
-    ElidedRun {
-        analysis,
-        checked,
-        elided: elided.result,
-        checks_elided: elided.checks_elided,
-    }
-}
-
-/// [`run_benchmark`] with tracing and metrics collection attached. The
-/// cycle results are bit-identical to the untraced run — the two entry
-/// points share one code path that differs only in the tracer it passes.
-///
-/// # Panics
-///
-/// As [`run_benchmark`].
-#[must_use]
-pub fn run_benchmark_observed(
-    bench: Benchmark,
-    variant: SystemVariant,
-    tasks: usize,
-    seed: u64,
-) -> ObservedRun {
-    let tracer = SharedTracer::new();
-    let inner = run_inner(
-        bench,
-        variant,
-        tasks,
-        seed,
-        None,
-        Some(tracer.clone()),
-        None,
-        &mut NullProfiler,
-    );
-    ObservedRun {
-        result: inner.result,
-        metrics: inner
-            .metrics
-            .expect("observed runs always produce a snapshot"),
-        events: tracer.take(),
-    }
-}
-
-/// [`run_benchmark`] plus the profiling take: the deterministic span
-/// tree, check attribution, and the metrics snapshot.
-#[derive(Clone, Debug)]
-pub struct ProfiledRun {
-    /// The same result the unprofiled path produces (bit-identical
-    /// cycles: all entry points share one implementation).
-    pub result: RunResult,
-    /// The frozen metrics registry for this run.
-    pub metrics: Snapshot,
-    /// The span tree and profiler histograms — everything serialized
-    /// from it derives from simulated quantities, so it is byte-stable.
-    pub profile: ProfileSnapshot,
-    /// Per-master / per-`(task, object)` check attribution (`None` on
-    /// baseline variants, which have no checker to attribute).
-    pub attribution: Option<CheckAttribution>,
-}
-
-/// [`run_benchmark`] with the span profiler and check attribution
-/// enabled. Cycle results stay bit-identical to the unprofiled run.
-///
-/// # Panics
-///
-/// As [`run_benchmark`].
-#[must_use]
-pub fn run_benchmark_profiled(
-    bench: Benchmark,
-    variant: SystemVariant,
-    tasks: usize,
-    seed: u64,
-) -> ProfiledRun {
-    let tracer = SharedTracer::new();
-    let mut prof = SpanProfiler::new();
-    let inner = run_inner(
-        bench,
-        variant,
-        tasks,
-        seed,
-        None,
-        Some(tracer.clone()),
-        None,
-        &mut prof,
-    );
-    ProfiledRun {
-        result: inner.result,
-        metrics: inner
-            .metrics
-            .expect("observed runs always produce a snapshot"),
-        profile: prof.snapshot(),
-        attribution: inner.attribution,
-    }
-}
-
-/// A run under the cache-backed checker plus the checker's own cache
-/// statistics — the signal source for the adaptive controller.
-#[derive(Clone, Debug)]
-pub struct CachedRun {
-    /// The measured run (variant `ccpu+caccel` with the protection
-    /// overridden to the cached checker).
-    pub result: RunResult,
-    /// Cache statistics accumulated over the whole run, captured before
-    /// task teardown resets the checker.
-    pub cache: CacheStats,
-    /// Runtime checks the installed verdict map skipped (zero unless the
-    /// run was seeded with a static proof via
-    /// [`run_benchmark_cached_elided`]).
-    pub checks_elided: u64,
-}
-
-/// Runs `bench` under `ccpu+caccel` with the protection swapped to the
-/// cache-backed checker in `config` — the adaptive controller's actuator
-/// for Fine ⇄ Coarse mode epochs.
-///
-/// # Panics
-///
-/// As [`run_benchmark`].
-#[must_use]
-pub fn run_benchmark_cached(
-    bench: Benchmark,
-    tasks: usize,
-    seed: u64,
-    config: CachedCheckerConfig,
-) -> CachedRun {
-    let inner = run_inner(
-        bench,
-        SystemVariant::CheriCpuCheriAccel,
-        tasks,
-        seed,
-        Some(ProtectionChoice::CachedCapChecker(config)),
-        None,
-        None,
-        &mut NullProfiler,
-    );
-    CachedRun {
-        result: inner.result,
-        cache: inner
-            .cache
-            .expect("the cached protection was just installed"),
-        checks_elided: inner.checks_elided,
-    }
-}
-
-/// [`run_benchmark_cached`] with a static proof installed: the analysis'
-/// verdict map is retained on the system's epoch-scoped segment ledger
-/// and installed before the kernels run, so proved-safe checks are
-/// elided — the adaptive bench loop's re-install actuator for epochs
-/// after the segment's proof was computed.
-///
-/// # Panics
-///
-/// As [`run_benchmark`].
-#[must_use]
-pub fn run_benchmark_cached_elided(
-    bench: Benchmark,
-    tasks: usize,
-    seed: u64,
-    config: CachedCheckerConfig,
-    analysis: &BenchAnalysis,
-) -> CachedRun {
-    let inner = run_inner(
-        bench,
-        SystemVariant::CheriCpuCheriAccel,
-        tasks,
-        seed,
-        Some(ProtectionChoice::CachedCapChecker(config)),
-        None,
-        Some(analysis),
-        &mut NullProfiler,
-    );
-    CachedRun {
-        result: inner.result,
-        cache: inner
-            .cache
-            .expect("the cached protection was just installed"),
-        checks_elided: inner.checks_elided,
-    }
-}
-
-/// Everything one inner run can produce; the public entry points each
-/// surface the slice they promise.
-struct InnerRun {
-    result: RunResult,
-    metrics: Option<Snapshot>,
-    checks_elided: u64,
-    attribution: Option<CheckAttribution>,
-    cache: Option<CacheStats>,
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_inner(
-    bench: Benchmark,
-    variant: SystemVariant,
-    tasks: usize,
-    seed: u64,
-    protection: Option<ProtectionChoice>,
-    observe: Option<SharedTracer>,
-    elide: Option<&BenchAnalysis>,
-    prof: &mut dyn Profiler,
-) -> InnerRun {
     let tasks = if variant.uses_accelerator() {
-        tasks.max(1)
+        spec.tasks.max(1)
     } else {
         1
     };
     let mut config = variant.config();
-    if let Some(p) = protection {
-        config.protection = p;
+    if let Some(cache) = spec.cache {
+        config.protection = ProtectionChoice::CachedCapChecker(cache);
     }
     let mut sys = HeteroSystem::new(config);
+    let observe = spec.observe.then(SharedTracer::new);
     if let Some(t) = &observe {
         sys.set_tracer(t.clone());
     }
     sys.add_fus(bench.name(), tasks);
-    if prof.enabled() {
+    if spec.profile {
         sys.enable_check_attribution();
     }
-
-    // Elision only applies where a checker exists to elide from.
-    let elide = elide.filter(|_| variant == SystemVariant::CheriCpuCheriAccel);
 
     let mut traces: Vec<Trace> = Vec::with_capacity(tasks);
     let mut setups: Vec<Cycles> = Vec::with_capacity(tasks);
@@ -378,9 +222,7 @@ fn run_inner(
             // access, the checker sees only the declared directions.
             req = req.device_ports(declared_perms(bench));
         }
-        let id = sys
-            .allocate_task(&req)
-            .expect("workload fits the prototype system");
+        let id = sys.allocate_task(&req).map_err(RunError::DoesNotFit)?;
         if let Some(analysis) = elide {
             // Accumulate this task's proved pairs and (re)install the
             // combined map before its kernel runs.
@@ -394,35 +236,40 @@ fn run_inner(
         }
         for (obj, image) in bench.init(seed.wrapping_add(t as u64)).iter().enumerate() {
             sys.write_buffer(id, obj, 0, image)
-                .expect("init data fits its buffer");
+                .map_err(RunError::Driver)?;
         }
         let outcome = if variant.uses_accelerator() {
             sys.run_accel_task(id, |eng| bench.kernel(eng))
         } else {
             sys.run_cpu_task(id, |eng| bench.kernel(eng))
         }
-        .expect("kernel executes");
-        assert!(
-            outcome.completed(),
-            "benign {bench} denied under {variant}: {:?}",
-            outcome.denial
-        );
-        setups.push(sys.setup_cycles(id).expect("task is live"));
+        .map_err(RunError::Driver)?;
+        if let Some(denial) = outcome.denial {
+            return Err(RunError::Denied(denial));
+        }
+        setups.push(sys.setup_cycles(id).map_err(RunError::Driver)?);
         traces.push(
             sys.take_trace(id)
-                .expect("task is live")
-                .expect("kernel ran"),
+                .map_err(RunError::Driver)?
+                .ok_or(RunError::NoTrace)?,
         );
         ids.push(id);
     }
 
-    // One timing code path for both entry points: the only difference is
-    // whether the tracer is a recording handle or the null sink.
+    // One timing code path for every spec: the only differences are
+    // whether the tracer is a recording handle or the null sink, and
+    // whether the profiler is a span profiler or the null one.
     let mut shared = observe.clone();
     let mut null = NullTracer;
     let tracer: &mut dyn Tracer = match shared.as_mut() {
         Some(t) => t,
         None => &mut null,
+    };
+    let mut spans = spec.profile.then(SpanProfiler::new);
+    let mut null_prof = NullProfiler;
+    let prof: &mut dyn Profiler = match spans.as_mut() {
+        Some(p) => p,
+        None => &mut null_prof,
     };
 
     let mut registry = observe.as_ref().map(|_| Registry::new());
@@ -462,8 +309,8 @@ fn run_inner(
             }
             // Accelerator runs bypass the CPU's L1, so the hit rate is the
             // reference costing of the first task's trace on the default
-            // CPU model (side-effect-free: a NullTracer, no new events).
-            let l1 = simulate_cpu_traced(&traces[0], &CpuTiming::default(), &mut NullTracer);
+            // CPU model (side-effect-free: no tracer, no new events).
+            let l1 = simulate_cpu(&traces[0], &CpuTiming::default());
             add_l1_metrics(reg, l1.hits, l1.misses);
         }
         RunResult {
@@ -504,10 +351,10 @@ fn run_inner(
     let attribution = sys.check_attribution().cloned();
     let cache = sys.checker().and_then(CapChecker::cache_stats);
     for id in ids {
-        sys.deallocate_task(id).expect("task is live");
+        sys.deallocate_task(id).map_err(RunError::Driver)?;
     }
 
-    let snapshot = registry.map(|mut reg| {
+    let metrics = registry.map(|mut reg| {
         reg.counter_add("cycles", result.cycles);
         reg.counter_add("setup_cycles", result.setup_cycles);
         reg.gauge_set("bus_utilization", result.bus_utilization);
@@ -519,13 +366,15 @@ fn run_inner(
         reg.absorb(&machsuite::stats::of_trace(bench, &traces[0]), "workload.");
         reg.snapshot()
     });
-    InnerRun {
+    Ok(RunOutcome {
         result,
-        metrics: snapshot,
-        checks_elided,
+        metrics,
+        events: observe.map(|t| t.take()),
+        profile: spans.map(|p| p.snapshot()),
         attribution,
         cache,
-    }
+        checks_elided,
+    })
 }
 
 fn add_l1_metrics(reg: &mut Registry, hits: u64, misses: u64) {
@@ -569,40 +418,63 @@ mod tests {
     }
 
     #[test]
-    fn elided_run_skips_checks_and_saves_cycles() {
-        let run = run_benchmark_elided(Benchmark::GemmNcubed, 1, 1);
-        assert!(run.analysis.all_safe());
-        assert!(run.checks_elided > 0, "no check was actually elided");
-        assert!(
-            run.elided.cycles < run.checked.cycles,
-            "elision saved nothing: {} vs {}",
-            run.elided.cycles,
-            run.checked.cycles
-        );
-        assert!(run.speedup() > 1.0);
-        // Setup is untouched: the same number of capabilities installs,
-        // merely narrower ones.
-        assert_eq!(run.elided.setup_cycles, run.checked.setup_cycles);
-    }
-
-    #[test]
-    fn elided_runs_are_deterministic() {
-        let a = run_benchmark_elided(Benchmark::SpmvCrs, 2, 7);
-        let b = run_benchmark_elided(Benchmark::SpmvCrs, 2, 7);
-        assert_eq!(a.elided.cycles, b.elided.cycles);
-        assert_eq!(a.checks_elided, b.checks_elided);
-    }
-
-    #[test]
     fn cached_run_reports_cache_traffic() {
-        let run = run_benchmark_cached(Benchmark::Aes, 1, 1, CachedCheckerConfig::default());
+        let spec = RunSpec {
+            cache: Some(CachedCheckerConfig::default()),
+            ..RunSpec::new(Benchmark::Aes, SystemVariant::CheriCpuCheriAccel, 1, 1)
+        };
+        let run = super::run(&spec).unwrap();
         assert!(run.result.cycles > 0);
+        let cache = run.cache.expect("the cached protection was installed");
         assert!(
-            run.cache.hits + run.cache.misses > 0,
+            cache.hits + cache.misses > 0,
             "the cached checker saw no requests"
         );
-        let again = run_benchmark_cached(Benchmark::Aes, 1, 1, CachedCheckerConfig::default());
-        assert_eq!(run.cache, again.cache, "cache stats are deterministic");
+        let again = super::run(&spec).unwrap();
+        assert_eq!(again.cache, Some(cache), "cache stats are deterministic");
+    }
+
+    #[test]
+    fn plain_runs_record_nothing_they_were_not_asked_for() {
+        let spec = RunSpec::new(Benchmark::Aes, SystemVariant::CheriCpuCheriAccel, 1, 1);
+        let run = super::run(&spec).unwrap();
+        assert!(run.metrics.is_none() && run.events.is_none());
+        assert!(run.profile.is_none() && run.attribution.is_none());
+        assert!(run.cache.is_none());
+        assert_eq!(run.checks_elided, 0);
+    }
+
+    #[test]
+    fn caching_or_eliding_without_a_checker_is_an_error() {
+        let analysis = capcheri_analyze::analyze_benchmark(Benchmark::Aes, 1);
+        for variant in SystemVariant::ALL
+            .into_iter()
+            .filter(|&v| v != SystemVariant::CheriCpuCheriAccel)
+        {
+            let plain = RunSpec::new(Benchmark::Aes, variant, 1, 1);
+            let cached = RunSpec {
+                cache: Some(CachedCheckerConfig::default()),
+                ..plain
+            };
+            let elided = RunSpec {
+                elide: Some(&analysis),
+                ..plain
+            };
+            for spec in [cached, elided] {
+                assert!(
+                    matches!(super::run(&spec), Err(RunError::NoChecker(v)) if v == variant),
+                    "{variant}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn an_oversized_workload_is_an_error_not_a_panic() {
+        let spec = RunSpec::new(Benchmark::Aes, SystemVariant::CheriCpuCheriAccel, 300, 1);
+        let err = super::run(&spec).unwrap_err();
+        assert!(matches!(err, RunError::DoesNotFit(_)), "{err:?}");
+        assert!(err.to_string().contains("does not fit"), "{err}");
     }
 
     #[test]

@@ -5,19 +5,72 @@
 //! ([`capcheri_analyze::analyze_benchmark`]), audits the driver's
 //! default RW grant table against the declared port directions, then
 //! measures `ccpu+caccel` twice — fully checked and with the proof
-//! installed ([`runner::run_benchmark_elided`]) — reporting the checks
+//! installed ([`run_elided`]) — reporting the checks
 //! skipped and the speedup. The machine-readable form is the
 //! `capcheri.staticreport.v1` schema; rows are produced in
 //! `Benchmark::ALL` order and every map the report touches is ordered,
 //! so output is byte-identical at any `--threads` count.
 
-use crate::runner::{self, ElidedRun};
-use capcheri_analyze::{audit_grants, default_grants};
+use crate::runner::{run, RunError, RunResult, RunSpec};
+use capchecker::SystemVariant;
+use capcheri_analyze::{analyze_benchmark, audit_grants, default_grants, BenchAnalysis};
 use machsuite::Benchmark;
 use obs::json::JsonWriter;
 
 /// Schema tag of the JSON form.
 pub const STATIC_REPORT_SCHEMA: &str = "capcheri.staticreport.v1";
+
+/// A checked run and its statically-elided twin.
+#[derive(Clone, Debug)]
+pub struct ElidedRun {
+    /// The static analysis that authorized the elision.
+    pub analysis: BenchAnalysis,
+    /// `ccpu+caccel` with every runtime check on the path.
+    pub checked: RunResult,
+    /// The same configuration with proved-safe checks elided: tasks get
+    /// least-privilege device grants, the verdict map is installed, and
+    /// — when every port is proved safe — the checker pipeline stage
+    /// drops off the bus path.
+    pub elided: RunResult,
+    /// Runtime checks the verdict map skipped (functional proof that the
+    /// elision actually happened).
+    pub checks_elided: u64,
+}
+
+impl ElidedRun {
+    /// Cycle speedup of the elided run over the checked one.
+    #[must_use]
+    pub fn speedup(&self) -> f64 {
+        self.checked.cycles as f64 / self.elided.cycles as f64
+    }
+}
+
+/// Runs `bench` under `ccpu+caccel` twice — fully checked, then with the
+/// static analyzer's proof installed — and reports both costs.
+///
+/// The elided run is only as trustworthy as the analysis; the
+/// conformance harness replays elided checkers against the golden oracle
+/// (`conformance::run_ops_elided`), so an unsound verdict map shows up
+/// there as a divergence rather than silently here.
+///
+/// # Errors
+///
+/// As [`run`].
+pub fn run_elided(bench: Benchmark, tasks: usize, seed: u64) -> Result<ElidedRun, RunError> {
+    let analysis = analyze_benchmark(bench, seed);
+    let checked = RunSpec::new(bench, SystemVariant::CheriCpuCheriAccel, tasks, seed);
+    let checked_run = run(&checked)?;
+    let elided = run(&RunSpec {
+        elide: Some(&analysis),
+        ..checked
+    })?;
+    Ok(ElidedRun {
+        checked: checked_run.result,
+        elided: elided.result,
+        checks_elided: elided.checks_elided,
+        analysis,
+    })
+}
 
 /// One benchmark's static-analysis row.
 #[derive(Clone, Debug)]
@@ -43,9 +96,13 @@ impl StaticRow {
 }
 
 /// Computes one row.
+///
+/// # Panics
+///
+/// When a stock benchmark fails to run, as [`crate::runner::run_benchmark`].
 #[must_use]
 pub fn row(bench: Benchmark) -> StaticRow {
-    let run = runner::run_benchmark_elided(bench, 1, 0xC0DE);
+    let run = run_elided(bench, 1, 0xC0DE).unwrap_or_else(|e| panic!("{bench}: {e}"));
     let over_privileged_grants = audit_grants(bench, &default_grants(bench, 0))
         .iter()
         .filter(|f| f.category == "over-privilege")
@@ -56,30 +113,18 @@ pub fn row(bench: Benchmark) -> StaticRow {
     }
 }
 
-/// All 19 rows, sequentially.
+/// All 19 rows, computed on `threads` workers; any thread count produces
+/// the same rows in the same order.
 #[must_use]
-pub fn rows() -> Vec<StaticRow> {
-    rows_threads(1)
-}
-
-/// [`rows`] fanned out over a worker pool; any thread count produces the
-/// same rows in the same order.
-#[must_use]
-pub fn rows_threads(threads: usize) -> Vec<StaticRow> {
+pub fn rows(threads: usize) -> Vec<StaticRow> {
     crate::fan_out(threads, Benchmark::ALL.len(), |i| row(Benchmark::ALL[i]))
 }
 
-/// Renders the report as a table.
+/// Renders the report as a table, its benchmark cells computed on
+/// `threads` workers — byte-identical output for any thread count.
 #[must_use]
-pub fn report() -> String {
-    report_threads(1)
-}
-
-/// [`report`] with its benchmark cells computed on `threads` workers —
-/// byte-identical output for any thread count.
-#[must_use]
-pub fn report_threads(threads: usize) -> String {
-    render_rows(&rows_threads(threads))
+pub fn report(threads: usize) -> String {
+    render_rows(&rows(threads))
 }
 
 /// Renders already-computed rows as the text table.
@@ -203,5 +248,30 @@ mod tests {
         assert!(json.contains("\"schema\":\"capcheri.staticreport.v1\""));
         assert!(json.contains("\"bench\":\"aes\""));
         assert!(json.contains("\"verdict\":\"safe\""));
+    }
+
+    #[test]
+    fn elided_run_skips_checks_and_saves_cycles() {
+        let run = run_elided(Benchmark::GemmNcubed, 1, 1).unwrap();
+        assert!(run.analysis.all_safe());
+        assert!(run.checks_elided > 0, "no check was actually elided");
+        assert!(
+            run.elided.cycles < run.checked.cycles,
+            "elision saved nothing: {} vs {}",
+            run.elided.cycles,
+            run.checked.cycles
+        );
+        assert!(run.speedup() > 1.0);
+        // Setup is untouched: the same number of capabilities installs,
+        // merely narrower ones.
+        assert_eq!(run.elided.setup_cycles, run.checked.setup_cycles);
+    }
+
+    #[test]
+    fn elided_runs_are_deterministic() {
+        let a = run_elided(Benchmark::SpmvCrs, 2, 7).unwrap();
+        let b = run_elided(Benchmark::SpmvCrs, 2, 7).unwrap();
+        assert_eq!(a.elided.cycles, b.elided.cycles);
+        assert_eq!(a.checks_elided, b.checks_elided);
     }
 }

@@ -21,6 +21,7 @@ fn collect_all(threads: usize) -> Vec<AdaptBenchReport> {
             SEED,
             AdaptConfig::default(),
         )
+        .expect("every benchmark adapts")
     })
     .unwrap_or_else(|p| p.resume())
 }

@@ -1,10 +1,11 @@
-//! Exit-code contract of the `simulate` verification subcommands.
+//! Exit-code contract of every `simulate` subcommand.
 //!
 //! CI tells three outcomes apart by exit status alone: 0 = every
 //! property held, 1 = a property was violated (a red verdict), 2 = the
-//! harness itself failed (bad invocation, unwritable output). A
-//! conflated code would let a broken harness masquerade as a clean run —
-//! these tests pin each code end-to-end through the real binary.
+//! harness itself failed (bad invocation, unwritable output, a workload
+//! that does not fit). A conflated code would let a broken harness
+//! masquerade as a clean run — these tests pin each code end-to-end
+//! through the real binary.
 
 use std::process::Command;
 
@@ -15,16 +16,132 @@ fn simulate(args: &[&str]) -> std::process::Output {
         .expect("simulate binary runs")
 }
 
+/// A path no process can create a file at.
+const UNWRITABLE: &str = "/nonexistent-dir/report.json";
+
+/// `(argv, expected exit code)` for every subcommand: a clean run, a
+/// flag it does not take, a value that does not parse, and an
+/// unwritable output file where it writes one.
+const CONTRACT: &[(&[&str], i32)] = &[
+    // simulate <benchmark|all>
+    (&["aes", "--variant", "ccpu"], 0),
+    (&["aes", "--out", "x.json"], 2),
+    (&["aes", "--tasks", "many"], 2),
+    (&["aes", "--variant", "gpu"], 2),
+    (&["aes", "--seed"], 2),
+    (&["nosuch"], 2),
+    (&[], 2),
+    (&["all", "--trace-out", UNWRITABLE], 2),
+    (&["aes", "--trace-out", UNWRITABLE], 2),
+    // faults
+    (&["faults", "--tasks", "4"], 0),
+    (&["faults", "--out", "x.json"], 2),
+    (&["faults", "--spec", "bogus:1"], 2),
+    (&["faults", "--tasks", "-1"], 2),
+    // conformance
+    (&["conformance", "--ops", "50", "--seed", "7"], 0),
+    (&["conformance", "--no-such-flag"], 2),
+    (&["conformance", "--ops", "x"], 2),
+    // verify
+    (
+        &["verify", "--depth", "3", "--tasks", "2", "--objects", "2"],
+        0,
+    ),
+    (
+        &[
+            "verify",
+            "--depth",
+            "4",
+            "--tasks",
+            "2",
+            "--objects",
+            "2",
+            "--planted-bug",
+            "off-by-one",
+        ],
+        1,
+    ),
+    (&["verify", "--no-such-flag"], 2),
+    (&["verify", "--depth", "not-a-number"], 2),
+    (&["verify", "--tasks", "9"], 2),
+    (&["verify", "--planted-bug", "other"], 2),
+    (
+        &[
+            "verify",
+            "--depth",
+            "2",
+            "--tasks",
+            "2",
+            "--objects",
+            "2",
+            "--json",
+            "--out",
+            UNWRITABLE,
+        ],
+        2,
+    ),
+    // analyze
+    (&["analyze", "--trace-out", "x.json"], 2),
+    (&["analyze", "--streams", "x"], 2),
+    (
+        &[
+            "analyze",
+            "--flow",
+            "--streams",
+            "1",
+            "--ops",
+            "50",
+            "--out",
+            UNWRITABLE,
+        ],
+        2,
+    ),
+    // profile
+    (&["profile", "aes", "--variant", "ccpu"], 0),
+    (&["profile"], 2),
+    (&["profile", "aes", "--epochs", "2"], 2),
+    (&["profile", "aes", "--threads", "x"], 2),
+    (&["profile", "aes", "--out", UNWRITABLE], 2),
+    // adapt
+    (&["adapt", "aes", "--epochs", "1"], 0),
+    (&["adapt", "campaign", "--tasks", "4", "--epochs", "1"], 0),
+    (&["adapt", "aes", "--variant", "ccpu"], 2),
+    (&["adapt", "aes", "--epochs", "-1"], 2),
+    (&["adapt", "aes", "--epochs", "1", "--out", UNWRITABLE], 2),
+    // A workload that does not fit the fixed 256-entry table is a
+    // harness failure (adapt runs the cache-backed checker, which holds
+    // any number of capabilities).
+    (&["aes", "--tasks", "300"], 2),
+    (&["profile", "aes", "--tasks", "300"], 2),
+];
+
 #[test]
-fn verify_clean_model_exits_zero() {
-    let out = simulate(&["verify", "--depth", "3", "--tasks", "2", "--objects", "2"]);
-    assert_eq!(out.status.code(), Some(0), "{out:?}");
-    let stdout = String::from_utf8(out.stdout).unwrap();
-    assert!(stdout.contains("verdict: clean"), "{stdout}");
+fn every_subcommand_keeps_the_exit_code_contract() {
+    for (args, code) in CONTRACT {
+        let out = simulate(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(*code), "args {args:?}: {stderr}");
+        assert!(
+            !stderr.contains("panicked"),
+            "args {args:?} panicked: {stderr}"
+        );
+        if *code != 0 {
+            assert!(!stderr.trim().is_empty(), "args {args:?}: silent failure");
+        }
+    }
 }
 
 #[test]
-fn verify_planted_violation_exits_one() {
+fn a_workload_that_does_not_fit_fails_in_one_line() {
+    let out = simulate(&["aes", "--tasks", "300"]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(stderr.contains("does not fit"), "{stderr}");
+}
+
+#[test]
+fn verify_violation_is_loud_on_stderr() {
     let out = simulate(&[
         "verify",
         "--depth",
@@ -42,47 +159,9 @@ fn verify_planted_violation_exits_one() {
         stderr.contains("verify FAILED"),
         "violation must be loud on stderr: {stderr}"
     );
-}
-
-#[test]
-fn verify_bad_invocation_exits_two() {
-    for bad in [
-        &["verify", "--no-such-flag"][..],
-        &["verify", "--depth", "not-a-number"][..],
-        &["verify", "--tasks", "9"][..],
-    ] {
-        let out = simulate(bad);
-        assert_eq!(out.status.code(), Some(2), "args {bad:?}: {out:?}");
-    }
-}
-
-#[test]
-fn verify_unwritable_out_exits_two() {
-    let out = simulate(&[
-        "verify",
-        "--depth",
-        "2",
-        "--tasks",
-        "2",
-        "--objects",
-        "2",
-        "--json",
-        "--out",
-        "/nonexistent-dir/report.json",
-    ]);
-    assert_eq!(
-        out.status.code(),
-        Some(2),
-        "an IO failure is an internal error, not a verdict: {out:?}"
-    );
-}
-
-#[test]
-fn conformance_clean_exits_zero_and_bad_invocation_exits_two() {
-    let out = simulate(&["conformance", "--ops", "50", "--seed", "7"]);
-    assert_eq!(out.status.code(), Some(0), "{out:?}");
-    let out = simulate(&["conformance", "--no-such-flag"]);
-    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let out = simulate(&["verify", "--depth", "3", "--tasks", "2", "--objects", "2"]);
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(stdout.contains("verdict: clean"), "{stdout}");
 }
 
 #[test]

@@ -64,7 +64,17 @@ fn adapt_spmv_report() -> String {
         1,
         3,
         AdaptConfig::default(),
-    )])
+    )
+    .expect("spmv_crs adapts")])
+}
+
+/// The observed run `simulate` makes of one benchmark at its default seed.
+fn observed(bench: Benchmark, variant: SystemVariant, tasks: usize) -> runner::RunOutcome {
+    runner::run(&runner::RunSpec {
+        observe: true,
+        ..runner::RunSpec::new(bench, variant, tasks, 0xC0DE)
+    })
+    .expect("every benchmark runs")
 }
 
 /// `simulate all [--variant V] --tasks N --json`: every benchmark's
@@ -72,13 +82,13 @@ fn adapt_spmv_report() -> String {
 fn bench_report(variant: SystemVariant, tasks: usize, threads: usize) -> String {
     let reports = fan_out(threads, Benchmark::ALL.len(), |i| {
         let bench = Benchmark::ALL[i];
-        let run = runner::run_benchmark_observed(bench, variant, tasks, 0xC0DE);
+        let run = observed(bench, variant, tasks);
         BenchReport {
             bench: bench.name().to_owned(),
             variant: run.result.variant.label().to_owned(),
             tasks: run.result.tasks,
             seed: 0xC0DE,
-            metrics: run.metrics,
+            metrics: run.metrics.expect("observed runs freeze their metrics"),
         }
     });
     obs::report::reports_to_json(&reports)
@@ -88,37 +98,31 @@ fn bench_report(variant: SystemVariant, tasks: usize, threads: usize) -> String 
 fn profile_report(variant: SystemVariant, threads: usize) -> String {
     let reports = fan_out(threads, Benchmark::ALL.len(), |i| {
         ProfileReport::collect(Benchmark::ALL[i], variant, 1, 0xC0DE)
+            .expect("every benchmark profiles")
     });
     profile::reports_to_json(&reports)
 }
 
 /// The `--trace-out` file of `simulate aes --tasks 2`.
 fn chrome_aes() -> String {
-    let run = runner::run_benchmark_observed(
-        Benchmark::Aes,
-        SystemVariant::CheriCpuCheriAccel,
-        2,
-        0xC0DE,
-    );
-    obs::chrome::chrome_trace_json(&run.events.sorted_by_cycle())
+    let events = observed(Benchmark::Aes, SystemVariant::CheriCpuCheriAccel, 2)
+        .events
+        .expect("observed runs record events");
+    obs::chrome::chrome_trace_json(&events.sorted_by_cycle())
 }
 
 /// Every pinned artifact: `(name, kind, report at `threads`)`. Tables
 /// have no parallel path and ignore the thread count.
 fn artifacts(threads: usize) -> Vec<(&'static str, &'static str, String)> {
     vec![
-        ("fig7", "figure", fig7::report_threads(threads)),
-        ("fig8", "figure", fig8::report_threads(threads)),
-        ("fig9", "figure", fig9::report_threads(threads)),
-        ("fig10", "figure", fig10::report_threads(threads)),
-        ("fig11", "figure", fig11::report_threads(threads)),
-        ("fig12", "figure", fig12::report_threads(threads)),
-        (
-            "staticreport",
-            "report",
-            staticreport::report_threads(threads),
-        ),
-        ("flowreport", "report", flowreport::report_threads(threads)),
+        ("fig7", "figure", fig7::report(threads)),
+        ("fig8", "figure", fig8::report(threads)),
+        ("fig9", "figure", fig9::report(threads)),
+        ("fig10", "figure", fig10::report(threads)),
+        ("fig11", "figure", fig11::report(threads)),
+        ("fig12", "figure", fig12::report(threads)),
+        ("staticreport", "report", staticreport::report(threads)),
+        ("flowreport", "report", flowreport::report(threads)),
         ("table1", "table", table1::report()),
         ("table2", "table", table2::report()),
         ("table3", "table", table3::report()),

@@ -2,24 +2,36 @@
 //! cost, and every export is byte-deterministic for a fixed seed.
 
 use capchecker::SystemVariant;
-use capcheri_bench::runner::{run_benchmark, run_benchmark_observed};
+use capcheri_bench::runner::{run, run_benchmark, RunResult, RunSpec};
 use machsuite::Benchmark;
 use obs::chrome::chrome_trace_json;
 use obs::json::validate;
+use obs::{Snapshot, TraceBuffer};
+
+/// An observed aes run: its result, metrics snapshot and recorded events.
+fn observed(variant: SystemVariant, tasks: usize, seed: u64) -> (RunResult, Snapshot, TraceBuffer) {
+    let spec = RunSpec {
+        observe: true,
+        ..RunSpec::new(Benchmark::Aes, variant, tasks, seed)
+    };
+    let out = run(&spec).expect("aes runs");
+    (
+        out.result,
+        out.metrics.expect("observed runs freeze their metrics"),
+        out.events.expect("observed runs record events"),
+    )
+}
 
 #[test]
 fn observed_runs_match_plain_runs_bit_for_bit() {
     for variant in SystemVariant::ALL {
         let plain = run_benchmark(Benchmark::Aes, variant, 2, 7);
-        let observed = run_benchmark_observed(Benchmark::Aes, variant, 2, 7);
-        assert_eq!(plain.cycles, observed.result.cycles, "{variant}");
-        assert_eq!(
-            plain.setup_cycles, observed.result.setup_cycles,
-            "{variant}"
-        );
+        let (observed, _, _) = observed(variant, 2, 7);
+        assert_eq!(plain.cycles, observed.cycles, "{variant}");
+        assert_eq!(plain.setup_cycles, observed.setup_cycles, "{variant}");
         assert_eq!(
             plain.bus_utilization.to_bits(),
-            observed.result.bus_utilization.to_bits(),
+            observed.bus_utilization.to_bits(),
             "{variant}"
         );
     }
@@ -27,25 +39,25 @@ fn observed_runs_match_plain_runs_bit_for_bit() {
 
 #[test]
 fn same_seed_runs_export_byte_identical_artifacts() {
-    let a = run_benchmark_observed(Benchmark::Aes, SystemVariant::CheriCpuCheriAccel, 2, 42);
-    let b = run_benchmark_observed(Benchmark::Aes, SystemVariant::CheriCpuCheriAccel, 2, 42);
+    let a = observed(SystemVariant::CheriCpuCheriAccel, 2, 42);
+    let b = observed(SystemVariant::CheriCpuCheriAccel, 2, 42);
     assert_eq!(
-        a.metrics.to_json(),
-        b.metrics.to_json(),
+        a.1.to_json(),
+        b.1.to_json(),
         "metrics snapshots must be byte-identical"
     );
     assert_eq!(
-        chrome_trace_json(&a.events.sorted_by_cycle()),
-        chrome_trace_json(&b.events.sorted_by_cycle()),
+        chrome_trace_json(&a.2.sorted_by_cycle()),
+        chrome_trace_json(&b.2.sorted_by_cycle()),
         "chrome traces must be byte-identical"
     );
 }
 
 #[test]
 fn chrome_export_is_well_formed_with_monotone_timestamps() {
-    let run = run_benchmark_observed(Benchmark::Aes, SystemVariant::CheriCpuCheriAccel, 2, 1);
-    assert!(!run.events.is_empty(), "a run must record events");
-    let json = chrome_trace_json(&run.events.sorted_by_cycle());
+    let (_, _, events) = observed(SystemVariant::CheriCpuCheriAccel, 2, 1);
+    assert!(!events.is_empty(), "a run must record events");
+    let json = chrome_trace_json(&events.sorted_by_cycle());
     validate(&json).expect("chrome trace must be valid JSON");
     let mut last = 0u64;
     let mut seen = 0usize;
@@ -63,10 +75,9 @@ fn chrome_export_is_well_formed_with_monotone_timestamps() {
 
 #[test]
 fn report_carries_the_required_metrics() {
-    let run = run_benchmark_observed(Benchmark::Aes, SystemVariant::CheriCpuCheriAccel, 4, 3);
-    let m = &run.metrics;
-    assert_eq!(m.counter("cycles"), Some(run.result.cycles));
-    assert_eq!(m.counter("setup_cycles"), Some(run.result.setup_cycles));
+    let (result, m, _) = observed(SystemVariant::CheriCpuCheriAccel, 4, 3);
+    assert_eq!(m.counter("cycles"), Some(result.cycles));
+    assert_eq!(m.counter("setup_cycles"), Some(result.setup_cycles));
     assert!(m.gauge("bus_utilization").is_some());
     assert!(m.gauge("l1.hit_rate").is_some());
     assert!(m.counter("checker.install_stalls").is_some());
@@ -82,8 +93,8 @@ fn report_carries_the_required_metrics() {
 #[test]
 fn driver_lifecycle_appears_in_the_event_stream() {
     use obs::EventKind;
-    let run = run_benchmark_observed(Benchmark::Aes, SystemVariant::CheriCpuCheriAccel, 1, 5);
-    let events = run.events.events();
+    let (_, _, events) = observed(SystemVariant::CheriCpuCheriAccel, 1, 5);
+    let events = events.events();
     let has = |pred: &dyn Fn(&EventKind) -> bool| events.iter().any(|e| pred(&e.kind));
     assert!(has(&|k| matches!(k, EventKind::DriverPhase { .. })));
     assert!(has(&|k| matches!(k, EventKind::MmioCapInstall { .. })));

@@ -15,49 +15,49 @@ const THREAD_COUNTS: [usize; 3] = [2, 4, 8];
 
 #[test]
 fn fig7_report_is_byte_identical_for_any_thread_count() {
-    let sequential = fig7::report_threads(1);
+    let sequential = fig7::report(1);
     for t in THREAD_COUNTS {
-        assert_eq!(fig7::report_threads(t), sequential, "threads={t}");
+        assert_eq!(fig7::report(t), sequential, "threads={t}");
     }
 }
 
 #[test]
 fn fig8_report_is_byte_identical_for_any_thread_count() {
-    let sequential = fig8::report_threads(1);
+    let sequential = fig8::report(1);
     for t in THREAD_COUNTS {
-        assert_eq!(fig8::report_threads(t), sequential, "threads={t}");
+        assert_eq!(fig8::report(t), sequential, "threads={t}");
     }
 }
 
 #[test]
 fn fig9_report_is_byte_identical_for_any_thread_count() {
-    let sequential = fig9::report_threads(1);
+    let sequential = fig9::report(1);
     for t in THREAD_COUNTS {
-        assert_eq!(fig9::report_threads(t), sequential, "threads={t}");
+        assert_eq!(fig9::report(t), sequential, "threads={t}");
     }
 }
 
 #[test]
 fn fig10_report_is_byte_identical_for_any_thread_count() {
-    let sequential = fig10::report_threads(1);
+    let sequential = fig10::report(1);
     for t in THREAD_COUNTS {
-        assert_eq!(fig10::report_threads(t), sequential, "threads={t}");
+        assert_eq!(fig10::report(t), sequential, "threads={t}");
     }
 }
 
 #[test]
 fn fig11_report_is_byte_identical_for_any_thread_count() {
-    let sequential = fig11::report_threads(1);
+    let sequential = fig11::report(1);
     for t in THREAD_COUNTS {
-        assert_eq!(fig11::report_threads(t), sequential, "threads={t}");
+        assert_eq!(fig11::report(t), sequential, "threads={t}");
     }
 }
 
 #[test]
 fn fig12_report_is_byte_identical_for_any_thread_count() {
-    let sequential = fig12::report_threads(1);
+    let sequential = fig12::report(1);
     for t in THREAD_COUNTS {
-        assert_eq!(fig12::report_threads(t), sequential, "threads={t}");
+        assert_eq!(fig12::report(t), sequential, "threads={t}");
     }
 }
 
@@ -97,10 +97,10 @@ fn campaign_grid_json_is_byte_identical_for_any_thread_count() {
 
 #[test]
 fn survival_table_is_identical_for_any_thread_count() {
-    let sequential = threatbench::recovery::survival_table_threads(8, 0x5EED, 1);
+    let sequential = threatbench::recovery::survival_table(8, 0x5EED, 1);
     for t in THREAD_COUNTS {
         assert_eq!(
-            threatbench::recovery::survival_table_threads(8, 0x5EED, t),
+            threatbench::recovery::survival_table(8, 0x5EED, t),
             sequential,
             "threads={t}"
         );

@@ -19,6 +19,7 @@ fn collect_all(threads: usize) -> Vec<ProfileReport> {
             TASKS,
             SEED,
         )
+        .expect("every benchmark profiles")
     })
     .unwrap_or_else(|p| p.resume())
 }
@@ -45,7 +46,7 @@ fn span_tree_attributes_at_least_95_percent_across_machsuite() {
             SystemVariant::CheriCpuAccel,
             SystemVariant::CheriCpuCheriAccel,
         ] {
-            let r = ProfileReport::collect(bench, variant, TASKS, SEED);
+            let r = ProfileReport::collect(bench, variant, TASKS, SEED).unwrap();
             let cov = r.coverage();
             assert!(
                 cov <= 1.0 + 1e-12,
@@ -55,7 +56,7 @@ fn span_tree_attributes_at_least_95_percent_across_machsuite() {
                 cov >= 0.95,
                 "{bench} {variant}: span tree attributes only {:.1}% of {} cycles",
                 cov * 100.0,
-                r.run.result.cycles
+                r.result.cycles
             );
         }
     }
@@ -66,7 +67,7 @@ fn profiled_run_is_cycle_identical_to_the_null_profiler_path() {
     for bench in [Benchmark::Aes, Benchmark::SpmvCrs, Benchmark::GemmNcubed] {
         for variant in [SystemVariant::CheriCpu, SystemVariant::CheriCpuCheriAccel] {
             let plain = runner::run_benchmark(bench, variant, TASKS, SEED);
-            let profiled = runner::run_benchmark_profiled(bench, variant, TASKS, SEED);
+            let profiled = ProfileReport::collect(bench, variant, TASKS, SEED).unwrap();
             assert_eq!(
                 plain.cycles, profiled.result.cycles,
                 "{bench} {variant}: attaching the profiler changed the simulation"

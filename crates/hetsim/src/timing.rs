@@ -185,24 +185,18 @@ impl Cache {
 /// Costs `trace` on the sequential CPU model.
 #[must_use]
 pub fn simulate_cpu(trace: &Trace, cfg: &CpuTiming) -> CpuReport {
-    simulate_cpu_traced(trace, cfg, &mut NullTracer)
+    simulate_cpu_prof(trace, cfg, &mut NullTracer, &mut NullProfiler)
 }
 
-/// [`simulate_cpu`] with every L1 lookup recorded as a cycle-stamped
-/// event. The untraced entry point calls this with a [`NullTracer`], so
-/// the two paths are one code path and cycle counts cannot diverge.
-#[must_use]
-pub fn simulate_cpu_traced(trace: &Trace, cfg: &CpuTiming, tracer: &mut dyn Tracer) -> CpuReport {
-    simulate_cpu_prof(trace, cfg, tracer, &mut NullProfiler)
-}
-
-/// [`simulate_cpu_traced`] with the run's cycles attributed to profiler
+/// [`simulate_cpu`] observed: every L1 lookup is recorded on `tracer` as
+/// a cycle-stamped event, and the run's cycles are attributed to profiler
 /// spans: `cpu/{setup,compute,issue,miss_stall}` partitions the total
 /// (child sums are truncated, so attribution never exceeds the report),
 /// and each access's cost lands in the `cpu.access_cycles` histogram.
 /// Every cost attributed here derives from simulated quantities only, so
-/// the profile is deterministic. The traced entry point calls this with a
-/// [`NullProfiler`] — one code path, cycle counts cannot diverge.
+/// the profile is deterministic. The plain entry point calls this with a
+/// [`NullTracer`] and a [`NullProfiler`] — one code path, cycle counts
+/// cannot diverge.
 #[must_use]
 pub fn simulate_cpu_prof(
     trace: &Trace,
@@ -467,24 +461,12 @@ pub(crate) fn distribute_over_lanes(trace: &Trace, n: usize) -> Vec<Vec<TraceOp>
 /// ready-time order (FCFS — the AXI arbiter of the prototype).
 #[must_use]
 pub fn simulate_accel_system(tasks: &[AccelTask<'_>], bus: &BusConfig) -> AccelReport {
-    simulate_accel_system_traced(tasks, bus, &mut NullTracer)
+    simulate_accel_system_prof(tasks, bus, &mut NullTracer, &mut NullProfiler)
 }
 
-/// [`simulate_accel_system`] with task start/end and every bus grant
-/// recorded as cycle-stamped events. The untraced entry point calls this
-/// with a [`NullTracer`], so timing results cannot diverge between the
-/// traced and untraced paths.
-#[must_use]
-pub fn simulate_accel_system_traced(
-    tasks: &[AccelTask<'_>],
-    bus: &BusConfig,
-    tracer: &mut dyn Tracer,
-) -> AccelReport {
-    simulate_accel_system_prof(tasks, bus, tracer, &mut NullProfiler)
-}
-
-/// [`simulate_accel_system_traced`] with the makespan attributed to
-/// profiler spans. The partition is exact:
+/// [`simulate_accel_system`] observed: task start/end and every bus
+/// grant are recorded on `tracer` as cycle-stamped events, and the
+/// makespan is attributed to profiler spans. The partition is exact:
 /// `accel/setup` is the earliest task start,
 /// `accel/execute/bus_busy` is the beats the one-beat-per-cycle port
 /// moved (each beat occupies a distinct port cycle after setup), and
@@ -493,9 +475,9 @@ pub fn simulate_accel_system_traced(
 /// without stepping). Per-request arbitration waits and burst lengths
 /// land in the `accel.req_wait` / `accel.req_beats` histograms, and each
 /// task's start-to-done duration in `accel.task_cycles`. All attributed
-/// quantities are simulated, so the profile is deterministic. The traced
-/// entry point calls this with a [`NullProfiler`] — one code path,
-/// timing cannot diverge.
+/// quantities are simulated, so the profile is deterministic. The plain
+/// entry point calls this with a [`NullTracer`] and a [`NullProfiler`] —
+/// one code path, timing cannot diverge.
 ///
 /// This is the event-wheel core: lanes are compact cursors over
 /// pre-folded `(compute, beats)` entries, the next lane to run is the
@@ -843,7 +825,7 @@ pub fn simulate_accel_system_naive(tasks: &[AccelTask<'_>], bus: &BusConfig) -> 
 
 /// [`simulate_accel_system_naive`] with the same tracer/profiler hooks as
 /// the wheel — the full pre-wheel implementation, verbatim, so the
-/// observed paths can be pinned too.
+/// observed paths can be pinned too (`tests/wheel_props.rs` does).
 #[must_use]
 pub fn simulate_accel_system_naive_prof(
     tasks: &[AccelTask<'_>],
@@ -1007,78 +989,6 @@ pub fn simulate_accel_system_naive_prof(
             bus_beats as f64 / makespan as f64
         },
     }
-}
-
-/// One fixed-width window of an accelerator-system run, as sampled for
-/// the adaptive controller's epoch loop: which beats the shared port
-/// moved in `[epoch * width, (epoch + 1) * width)`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct EpochMark {
-    /// Window index (0-based).
-    pub epoch: u32,
-    /// First cycle past the window (`(epoch + 1) * width`, except the
-    /// last mark, which ends at the makespan).
-    pub end_cycle: Cycles,
-    /// Interconnect beats granted inside the window.
-    pub bus_beats: u64,
-}
-
-/// Buckets every bus grant's beats by `cycle / width` — the epoch-boundary
-/// hook the adaptive controller samples between task groups.
-struct EpochTracer {
-    width: Cycles,
-    beats: Vec<u64>,
-}
-
-impl Tracer for EpochTracer {
-    fn record(&mut self, cycle: u64, kind: EventKind) {
-        if let EventKind::BusGrant { beats, .. } = kind {
-            let idx = (cycle / self.width) as usize;
-            if self.beats.len() <= idx {
-                self.beats.resize(idx + 1, 0);
-            }
-            self.beats[idx] += beats;
-        }
-    }
-}
-
-/// [`simulate_accel_system`] with the run cut into fixed-width epochs of
-/// `epoch_cycles`: returns the usual report plus one [`EpochMark`] per
-/// window up to the makespan. The marks partition the run — their
-/// `bus_beats` sum to the report's total — so a feedback controller can
-/// sample interconnect pressure at epoch boundaries without a second
-/// simulation. Timing is identical to the untraced entry point (same
-/// code path, the epoch tracer only observes).
-///
-/// # Panics
-///
-/// Panics when `epoch_cycles` is 0 — a zero-width epoch is meaningless.
-#[must_use]
-pub fn simulate_accel_system_epochs(
-    tasks: &[AccelTask<'_>],
-    bus: &BusConfig,
-    epoch_cycles: Cycles,
-) -> (AccelReport, Vec<EpochMark>) {
-    assert!(epoch_cycles > 0, "epochs must have a width");
-    let mut tracer = EpochTracer {
-        width: epoch_cycles,
-        beats: Vec::new(),
-    };
-    let report = simulate_accel_system_traced(tasks, bus, &mut tracer);
-    // Cover the whole makespan, even when the tail windows moved nothing.
-    let windows = (report.makespan.div_ceil(epoch_cycles) as usize).max(tracer.beats.len());
-    let marks = (0..windows)
-        .map(|i| EpochMark {
-            epoch: i as u32,
-            end_cycle: if i + 1 == windows {
-                report.makespan
-            } else {
-                (i as Cycles + 1) * epoch_cycles
-            },
-            bus_beats: tracer.beats.get(i).copied().unwrap_or(0),
-        })
-        .collect();
-    (report, marks)
 }
 
 #[cfg(test)]
@@ -1554,35 +1464,6 @@ mod tests {
         assert_eq!(hists["accel.task_cycles"].count, tasks.len() as u64);
         assert!(hists["accel.req_wait"].count > 0);
         assert_eq!(hists["accel.req_beats"].sum, plain.bus_beats);
-    }
-
-    #[test]
-    fn epoch_marks_partition_the_run() {
-        let t = mem_heavy_trace();
-        let tasks: Vec<AccelTask<'_>> = (0..3u64)
-            .map(|i| AccelTask {
-                trace: &t,
-                cfg: AccelTimingConfig::default(),
-                start: i * 500,
-            })
-            .collect();
-        let bus = BusConfig::default().with_checker(2);
-        let plain = simulate_accel_system(&tasks, &bus);
-        let (report, marks) = simulate_accel_system_epochs(&tasks, &bus, 1_000);
-        assert_eq!(report, plain, "the epoch tracer only observes");
-        assert!(!marks.is_empty());
-        let total: u64 = marks.iter().map(|m| m.bus_beats).sum();
-        assert_eq!(total, report.bus_beats, "marks partition the beats");
-        // Windows are contiguous, indexed, and end at the makespan.
-        for (i, m) in marks.iter().enumerate() {
-            assert_eq!(m.epoch as usize, i);
-        }
-        assert_eq!(marks.last().unwrap().end_cycle, report.makespan);
-        for w in marks.windows(2) {
-            assert!(w[0].end_cycle <= w[1].end_cycle);
-        }
-        // A memory-bound system keeps the port busy early on.
-        assert!(marks[0].bus_beats > 0);
     }
 
     #[test]

@@ -10,9 +10,11 @@
 //! reference scheduler cycle-for-cycle.
 
 use hetsim::timing::{
-    simulate_accel_system, simulate_accel_system_naive, AccelTask, AccelTimingConfig, BusConfig,
+    simulate_accel_system, simulate_accel_system_naive, simulate_accel_system_naive_prof,
+    simulate_accel_system_prof, AccelTask, AccelTimingConfig, BusConfig,
 };
 use hetsim::{BusFaultConfig, Trace, TraceOp};
+use obs::{SpanProfiler, TraceBuffer};
 use proptest::prelude::*;
 
 /// One randomized trace op. Compute units are kept small so traces stay
@@ -110,6 +112,40 @@ proptest! {
             prop_assert!(*finish >= task.start,
                 "a task finished before its start offset");
         }
+    }
+
+    /// The observed paths agree too: on arbitrary systems, with and
+    /// without armed bus faults, the wheel and the heap scheduler record
+    /// the same events in the same order and attribute the same cycles to
+    /// the same spans and histograms.
+    #[test]
+    fn observed_wheel_records_what_the_heap_records(
+        traces in prop::collection::vec(arb_trace(), 1..5),
+        cfgs in prop::collection::vec(arb_cfg(), 5..6),
+        starts in prop::collection::vec(0u64..400, 5..6),
+        bus in arb_bus(),
+    ) {
+        let tasks: Vec<AccelTask<'_>> = traces
+            .iter()
+            .enumerate()
+            .map(|(i, trace)| AccelTask {
+                trace,
+                cfg: cfgs[i % cfgs.len()],
+                start: starts[i % starts.len()],
+            })
+            .collect();
+        let (mut wheel_events, mut naive_events) = (TraceBuffer::new(), TraceBuffer::new());
+        let (mut wheel_prof, mut naive_prof) = (SpanProfiler::new(), SpanProfiler::new());
+        let wheel = simulate_accel_system_prof(&tasks, &bus, &mut wheel_events, &mut wheel_prof);
+        let naive =
+            simulate_accel_system_naive_prof(&tasks, &bus, &mut naive_events, &mut naive_prof);
+        prop_assert_eq!(&wheel, &naive);
+        prop_assert!(!wheel_events.is_empty(), "the tracer saw no event");
+        prop_assert!(wheel_events == naive_events, "recorded events differ");
+        prop_assert!(
+            wheel_prof.snapshot() == naive_prof.snapshot(),
+            "span profiles differ"
+        );
     }
 
     /// Beat accounting on a healthy bus: every memory event registers

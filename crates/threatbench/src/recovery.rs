@@ -84,17 +84,11 @@ pub fn survival_row(kind: FaultKind, tasks: u32, seed: u64) -> SurvivalRow {
     }
 }
 
-/// One survival row per fault kind, in [`FaultKind::ALL`] order.
+/// One survival row per fault kind, in [`FaultKind::ALL`] order, its
+/// per-kind campaigns fanned out over `threads` workers — each campaign
+/// owns its whole system, so any thread count yields the identical table.
 #[must_use]
-pub fn survival_table(tasks: u32, seed: u64) -> Vec<SurvivalRow> {
-    survival_table_threads(tasks, seed, 1)
-}
-
-/// [`survival_table`] with its per-kind campaigns fanned out over a
-/// worker pool — each campaign owns its whole system, so any thread count
-/// yields the identical table.
-#[must_use]
-pub fn survival_table_threads(tasks: u32, seed: u64, threads: usize) -> Vec<SurvivalRow> {
+pub fn survival_table(tasks: u32, seed: u64, threads: usize) -> Vec<SurvivalRow> {
     perf::parallel_map(threads, FaultKind::ALL.len(), |i| {
         survival_row(FaultKind::ALL[i], tasks, seed)
     })
@@ -239,7 +233,7 @@ mod tests {
     #[test]
     fn every_fault_kind_is_survived() {
         let tasks = 12;
-        for row in survival_table(tasks, 0x5EED) {
+        for row in survival_table(tasks, 0x5EED, 1) {
             assert!(
                 row.survived(u64::from(tasks)),
                 "{:?}: unnoticed={} resolutions={:?}",

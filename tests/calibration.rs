@@ -15,7 +15,7 @@ fn figure7_speedup_bands() {
         Benchmark::BfsBulk,
         Benchmark::BfsQueue,
     ];
-    for row in fig7::rows() {
+    for row in fig7::rows(1) {
         let s = row.speedup;
         if memory_bound.contains(&row.bench) {
             assert!(s < 1.0, "{}: expected below 1x, got {s:.2}x", row.bench);
@@ -32,7 +32,7 @@ fn figure7_speedup_bands() {
 /// stays in the low single digits (the paper reports 1.4%).
 #[test]
 fn figure8_overhead_bands() {
-    let rows = fig8::rows();
+    let rows = fig8::rows(1);
     let within_5 = rows.iter().filter(|r| r.perf_overhead < 0.05).count();
     assert!(
         within_5 >= rows.len() - 2,
@@ -104,7 +104,7 @@ fn figure10_config_relationships() {
 /// the checker overhead does not grow with parallelism.
 #[test]
 fn figure11_parallelism_trends() {
-    let sweep = fig11::rows();
+    let sweep = fig11::rows(1);
     assert!(sweep[2].throughput_speedup > sweep[0].throughput_speedup * 1.4);
     let last = sweep.last().expect("sweep nonempty");
     assert!(
@@ -121,7 +121,7 @@ fn figure11_parallelism_trends() {
 #[test]
 fn figure12_entry_scaling() {
     let mut any_large_gap = false;
-    for row in fig12::rows() {
+    for row in fig12::rows(1) {
         assert!(row.capchecker_entries <= row.iommu_entries, "{}", row.bench);
         if row.iommu_entries as f64 / row.capchecker_entries as f64 > 3.0 {
             any_large_gap = true;
