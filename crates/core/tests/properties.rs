@@ -1,7 +1,7 @@
 //! Property-based tests for the CapChecker's data structures: the heap
 //! allocator and the capability table.
 
-use capchecker::{CapabilityTable, HeapAllocator};
+use capchecker::{CapabilityTable, HeapAllocator, TableEntry};
 use cheri::{Capability, Perms};
 use hetsim::{ObjectId, TaskId};
 use proptest::prelude::*;
@@ -22,7 +22,156 @@ fn arb_heap_ops() -> impl Strategy<Value = Vec<HeapOp>> {
     )
 }
 
+/// One step of a table workload over a 6-task x 12-object keyspace.
+#[derive(Clone, Debug)]
+enum TableOp {
+    /// Install `(task, object)`, new or already held.
+    Install(u32, u16),
+    /// Re-install the `n`-th held key (mod the number held), if any.
+    Reinstall(usize),
+    Lookup(u32, u16),
+    Mark(u32, u16),
+    Evict(u32),
+}
+
+fn arb_table_ops() -> impl Strategy<Value = Vec<TableOp>> {
+    prop::collection::vec(
+        prop_oneof![
+            6 => (0u32..6, 0u16..12).prop_map(|(t, o)| TableOp::Install(t, o)),
+            2 => (0usize..64).prop_map(TableOp::Reinstall),
+            4 => (0u32..6, 0u16..12).prop_map(|(t, o)| TableOp::Lookup(t, o)),
+            2 => (0u32..6, 0u16..12).prop_map(|(t, o)| TableOp::Mark(t, o)),
+            1 => (0u32..6).prop_map(TableOp::Evict),
+        ],
+        1..300,
+    )
+}
+
+/// The table as software sees it, by linear scan: first free slot on
+/// install, replace in place on re-install, slot order everywhere.
+struct ScanTable {
+    slots: Vec<Option<TableEntry>>,
+}
+
+impl ScanTable {
+    fn position(&self, task: TaskId, object: ObjectId) -> Option<usize> {
+        self.slots
+            .iter()
+            .position(|s| matches!(s, Some(e) if e.task == task && e.object == object))
+    }
+
+    fn install(&mut self, task: TaskId, object: ObjectId, capability: Capability) -> Option<usize> {
+        let entry = TableEntry {
+            task,
+            object,
+            capability,
+            exception: false,
+        };
+        let slot = self
+            .position(task, object)
+            .or_else(|| self.slots.iter().position(Option::is_none))?;
+        self.slots[slot] = Some(entry);
+        Some(slot)
+    }
+
+    fn entries(&self) -> Vec<TableEntry> {
+        self.slots.iter().flatten().copied().collect()
+    }
+}
+
+fn key_cap(task: u32, object: u16, generation: u64) -> Capability {
+    Capability::root()
+        .set_bounds(
+            u64::from(task) * 0x10000 + u64::from(object) * 64,
+            64 + generation % 64,
+        )
+        .unwrap()
+        .and_perms(Perms::RW)
+        .unwrap()
+}
+
 proptest! {
+    /// The capability table is indistinguishable from a linear-scan
+    /// table under any interleaving of install, re-install, lookup,
+    /// exception marking and eviction: same slot per install, same
+    /// lookups, same occupancy, same slot order with exception bits.
+    #[test]
+    fn table_matches_linear_scan_reference(capacity in 1usize..=40, ops in arb_table_ops()) {
+        let mut table = CapabilityTable::new(capacity);
+        let mut reference = ScanTable { slots: vec![None; capacity] };
+        for (step, op) in ops.into_iter().enumerate() {
+            let generation = step as u64;
+            match op {
+                TableOp::Install(t, o) => {
+                    let cap = key_cap(t, o, generation);
+                    prop_assert_eq!(
+                        table.install(TaskId(t), ObjectId(o), cap),
+                        reference.install(TaskId(t), ObjectId(o), cap),
+                        "install ({}, {}) at step {}", t, o, step
+                    );
+                }
+                TableOp::Reinstall(n) => {
+                    let held = reference.entries();
+                    if let Some(e) = held.get(n % held.len().max(1)) {
+                        let cap = key_cap(e.task.0, e.object.0, generation);
+                        prop_assert_eq!(
+                            table.install(e.task, e.object, cap),
+                            reference.install(e.task, e.object, cap),
+                            "re-install {:?} at step {}", e, step
+                        );
+                    }
+                }
+                TableOp::Lookup(t, o) => {
+                    let want = reference
+                        .position(TaskId(t), ObjectId(o))
+                        .and_then(|i| reference.slots[i]);
+                    prop_assert_eq!(
+                        table.lookup(TaskId(t), ObjectId(o)).copied(),
+                        want,
+                        "lookup ({}, {}) at step {}", t, o, step
+                    );
+                }
+                TableOp::Mark(t, o) => {
+                    table.mark_exception(TaskId(t), ObjectId(o));
+                    if let Some(i) = reference.position(TaskId(t), ObjectId(o)) {
+                        if let Some(e) = reference.slots[i].as_mut() {
+                            e.exception = true;
+                        }
+                    }
+                }
+                TableOp::Evict(t) => {
+                    let mut freed = 0;
+                    for slot in &mut reference.slots {
+                        if slot.is_some_and(|e| e.task == TaskId(t)) {
+                            *slot = None;
+                            freed += 1;
+                        }
+                    }
+                    prop_assert_eq!(table.evict_task(TaskId(t)), freed, "evict {} at step {}", t, step);
+                }
+            }
+            let want = reference.entries();
+            prop_assert_eq!(table.occupied(), want.len(), "occupied at step {}", step);
+            prop_assert_eq!(
+                table.iter().copied().collect::<Vec<_>>(),
+                want.clone(),
+                "slot order at step {}", step
+            );
+            for t in 0..6u32 {
+                let want_exc: Vec<_> = want
+                    .iter()
+                    .filter(|e| e.task == TaskId(t) && e.exception)
+                    .copied()
+                    .collect();
+                prop_assert_eq!(
+                    table.exceptions_for(TaskId(t)).copied().collect::<Vec<_>>(),
+                    want_exc,
+                    "exceptions_for({}) at step {}", t, step
+                );
+            }
+        }
+    }
+
     /// Allocations never overlap, always satisfy alignment, and freeing
     /// everything restores the full heap.
     #[test]
