@@ -191,7 +191,7 @@ impl Store {
     ) {
         match self {
             Store::Table(table) => {
-                *table = CapabilityTable::new(table.capacity());
+                table.clear();
                 for &(task, object, cap) in entries {
                     table.install(task, object, cap);
                 }

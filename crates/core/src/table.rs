@@ -4,6 +4,14 @@
 //! `(task, object)`, with a per-entry exception bit so illegal accesses can
 //! be traced in software (§5.2.2). Lookup and allocation are associative,
 //! as in the hardware.
+//!
+//! What software sees is slot order: an install takes the lowest free
+//! slot, a re-install replaces its entry in place, and iteration,
+//! exception traces and snapshots all walk the slots in order. The
+//! hardware matches `(task, object)` against every slot in one cycle; the
+//! model stands in for that parallel match with an open-addressed index
+//! beside the slots, so a lookup costs O(1) host time instead of a scan.
+//! The index is invisible: it changes no slot, verdict or cycle count.
 
 use cheri::Capability;
 use hetsim::{ObjectId, TaskId};
@@ -26,14 +34,21 @@ pub struct TableEntry {
 #[derive(Clone)]
 pub struct CapabilityTable {
     slots: Vec<Option<TableEntry>>,
+    /// Linear-probing hash index over `slots`, at least twice their
+    /// number and a power of two: each cell holds `slot + 1`, 0 is empty.
+    index: Vec<u32>,
+    occupied: usize,
 }
 
 impl CapabilityTable {
     /// A table with `entries` slots (256 in the prototype).
     #[must_use]
     pub fn new(entries: usize) -> CapabilityTable {
+        let cells = (2 * entries).max(2).next_power_of_two();
         CapabilityTable {
             slots: vec![None; entries],
+            index: vec![0; cells],
+            occupied: 0,
         }
     }
 
@@ -46,10 +61,10 @@ impl CapabilityTable {
     /// Occupied slots (Figure 12's CapChecker entry count).
     #[must_use]
     pub fn occupied(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
+        self.occupied
     }
 
-    /// Installs a capability, searching associatively for a free slot.
+    /// Installs a capability into the lowest free slot.
     /// Re-installing an existing `(task, object)` key replaces it in place.
     ///
     /// Returns the slot index, or `None` when the table is full — the
@@ -61,25 +76,31 @@ impl CapabilityTable {
             capability: cap,
             exception: false,
         };
-        if let Some(i) = self.position(task, object) {
-            self.slots[i] = Some(entry);
-            return Some(i);
-        }
+        let cell = match self.probe(task, object) {
+            Ok(slot) => {
+                self.slots[slot] = Some(entry);
+                return Some(slot);
+            }
+            Err(cell) => cell,
+        };
         let free = self.slots.iter().position(Option::is_none)?;
         self.slots[free] = Some(entry);
+        self.index[cell] = free as u32 + 1;
+        self.occupied += 1;
         Some(free)
     }
 
     /// Finds the entry for `(task, object)`.
     #[must_use]
     pub fn lookup(&self, task: TaskId, object: ObjectId) -> Option<&TableEntry> {
-        self.position(task, object)
+        self.probe(task, object)
+            .ok()
             .and_then(|i| self.slots[i].as_ref())
     }
 
     /// Marks the entry's exception bit (illegal access trace).
     pub fn mark_exception(&mut self, task: TaskId, object: ObjectId) {
-        if let Some(i) = self.position(task, object) {
+        if let Ok(i) = self.probe(task, object) {
             if let Some(e) = self.slots[i].as_mut() {
                 e.exception = true;
             }
@@ -96,7 +117,27 @@ impl CapabilityTable {
                 freed += 1;
             }
         }
+        if freed > 0 {
+            // Deleting cells would break the probe chains through them;
+            // eviction already walks every slot, so relink the survivors.
+            self.occupied -= freed;
+            self.index.fill(0);
+            for i in 0..self.slots.len() {
+                if let Some(e) = self.slots[i] {
+                    if let Err(cell) = self.probe(e.task, e.object) {
+                        self.index[cell] = i as u32 + 1;
+                    }
+                }
+            }
+        }
         freed
+    }
+
+    /// Empties every slot, keeping the capacity and allocations.
+    pub fn clear(&mut self) {
+        self.slots.fill(None);
+        self.index.fill(0);
+        self.occupied = 0;
     }
 
     /// Iterates over occupied entries.
@@ -109,13 +150,30 @@ impl CapabilityTable {
         self.iter().filter(move |e| e.task == task && e.exception)
     }
 
-    fn position(&self, task: TaskId, object: ObjectId) -> Option<usize> {
-        // Probe by reference: `is_some_and` on a `Copy` option would move
-        // the 48-byte entry out per probed slot, which is measurable on
-        // the per-beat lookup path.
-        self.slots
-            .iter()
-            .position(|s| matches!(s, Some(e) if e.task == task && e.object == object))
+    /// The index cell a key's probe chain starts at: the top
+    /// `log2(index.len())` bits of its multiplicative hash.
+    fn home(&self, task: TaskId, object: ObjectId) -> usize {
+        let key = u64::from(task.0) << 16 | u64::from(object.0);
+        let shift = 64 - self.index.len().trailing_zeros();
+        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize
+    }
+
+    /// Walks the key's probe chain: `Ok(slot)` when it is held, else
+    /// `Err(cell)`, the empty cell that ends the chain. The index is at
+    /// most half full, so every chain ends.
+    fn probe(&self, task: TaskId, object: ObjectId) -> Result<usize, usize> {
+        let mask = self.index.len() - 1;
+        let mut cell = self.home(task, object);
+        loop {
+            let slot = match self.index[cell] {
+                0 => return Err(cell),
+                n => n as usize - 1,
+            };
+            if matches!(&self.slots[slot], Some(e) if e.task == task && e.object == object) {
+                return Ok(slot);
+            }
+            cell = (cell + 1) & mask;
+        }
     }
 }
 
@@ -182,6 +240,50 @@ mod tests {
             t.lookup(TaskId(1), ObjectId(0)).unwrap().capability.base(),
             0x5000
         );
+    }
+
+    #[test]
+    fn eviction_keeps_probe_chains_through_freed_cells() {
+        let mut t = CapabilityTable::new(8);
+        // The head of one probe chain belongs to task 0; three keys of
+        // other tasks share its home cell, so they sit behind it.
+        let head = (TaskId(0), ObjectId(0));
+        let home = t.home(head.0, head.1);
+        let mates: Vec<_> = (1..64u32)
+            .flat_map(|task| (0..64u16).map(move |o| (TaskId(task), ObjectId(o))))
+            .filter(|&(task, o)| t.home(task, o) == home)
+            .take(3)
+            .collect();
+        assert_eq!(mates.len(), 3);
+        let base = |i: usize| 0x1000 * (i as u64 + 1);
+        assert_eq!(t.install(head.0, head.1, cap(0, 64)), Some(0));
+        for (i, &(task, o)) in mates.iter().enumerate() {
+            assert_eq!(t.install(task, o, cap(base(i), 64)), Some(i + 1));
+        }
+        assert_eq!(t.evict_task(TaskId(0)), 1);
+        for (i, &(task, o)) in mates.iter().enumerate() {
+            assert_eq!(
+                t.lookup(task, o).map(|e| e.capability.base()),
+                Some(base(i))
+            );
+            // Still found, so a re-install replaces in place.
+            assert_eq!(t.install(task, o, cap(base(i), 32)), Some(i + 1));
+        }
+        assert_eq!(t.occupied(), 3);
+        // A new key takes the lowest free slot: the one the head left.
+        assert_eq!(t.install(TaskId(9), ObjectId(9), cap(0, 64)), Some(0));
+        assert_eq!(t.install(TaskId(9), ObjectId(10), cap(0, 64)), Some(4));
+    }
+
+    #[test]
+    fn clear_empties_and_keeps_capacity() {
+        let mut t = CapabilityTable::new(2);
+        t.install(TaskId(1), ObjectId(0), cap(0, 16)).unwrap();
+        t.install(TaskId(1), ObjectId(1), cap(16, 16)).unwrap();
+        t.clear();
+        assert_eq!((t.occupied(), t.capacity()), (0, 2));
+        assert!(t.lookup(TaskId(1), ObjectId(0)).is_none());
+        assert_eq!(t.install(TaskId(2), ObjectId(0), cap(0, 16)), Some(0));
     }
 
     #[test]
