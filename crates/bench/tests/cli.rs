@@ -219,7 +219,7 @@ fn cli_reports_match_their_golden_snapshots() {
     std::fs::create_dir_all(&dir).unwrap();
     let trace = dir.join("chrome_aes.json");
     let trace_arg = trace.to_str().unwrap();
-    let cases: [(&str, &str, &[&str]); 5] = [
+    let cases: [(&str, &str, &[&str]); 8] = [
         ("bench_report", "report", &["all", "--tasks", "2", "--json"]),
         (
             "bench_report_ccpu",
@@ -231,6 +231,40 @@ fn cli_reports_match_their_golden_snapshots() {
             "profile_ccpu",
             "report",
             &["profile", "all", "--variant", "ccpu", "--json"],
+        ),
+        (
+            "fault_campaign",
+            "report",
+            &[
+                "faults", "--spec", "all:0.8", "--tasks", "64", "--seed", "51966", "--json",
+            ],
+        ),
+        (
+            "fault_campaign_degrade",
+            "report",
+            &[
+                "faults",
+                "--spec",
+                "cache-corrupt:0.5",
+                "--tasks",
+                "24",
+                "--seed",
+                "7",
+                "--json",
+            ],
+        ),
+        (
+            "adapt_campaign_hang",
+            "report",
+            &[
+                "adapt",
+                "campaign",
+                "--spec",
+                "engine-hang:0.4",
+                "--tasks",
+                "32",
+                "--json",
+            ],
         ),
         (
             "chrome_aes",

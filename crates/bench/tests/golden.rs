@@ -13,7 +13,7 @@
 //!
 //! and commit the rewritten files — the diff *is* the review artifact.
 
-use capchecker::{run_adaptive_campaign, AdaptConfig, CampaignConfig, SystemVariant};
+use capchecker::{run_adaptive_campaign, run_campaign, AdaptConfig, CampaignConfig, SystemVariant};
 use capcheri_bench::adapt::{reports_to_json, AdaptBenchReport};
 use capcheri_bench::profile::{self, ProfileReport};
 use capcheri_bench::{
@@ -41,18 +41,55 @@ fn modelcheck_report(threads: usize) -> String {
     capcheri_mc::to_json(&cfg, &capcheri_mc::explore(cfg))
 }
 
+/// The campaign config `simulate faults` and `simulate adapt campaign`
+/// build from `--spec`, `--tasks` and `--seed`.
+fn campaign_config(spec: &str, tasks: u32, seed: u64) -> CampaignConfig {
+    CampaignConfig {
+        tasks,
+        seed,
+        spec: spec.parse().expect("valid fault spec"),
+        ..CampaignConfig::default()
+    }
+}
+
+/// `simulate faults --spec all:0.8 --tasks 64 --seed 51966 --json`: every
+/// fault kind, so every resolution the static driver can reach.
+fn fault_campaign_report() -> String {
+    run_campaign(&campaign_config("all:0.8", 64, 0xCAFE))
+        .expect("the campaign runs")
+        .to_json()
+}
+
+/// `simulate faults --spec cache-corrupt:0.5 --tasks 24 --seed 7 --json`:
+/// the inline degradation path, with a `"degraded":true` record.
+fn fault_campaign_degrade_report() -> String {
+    run_campaign(&campaign_config("cache-corrupt:0.5", 24, 7))
+        .expect("the campaign runs")
+        .to_json()
+}
+
 /// `simulate adapt campaign --epochs 8 --seed 3 --spec cache-corrupt:0.3
 /// --json`: stall-up, cache-degrade, cache-repromote and stall-down, so
 /// every checker rebuild path runs.
 fn adapt_campaign_report() -> String {
-    let config = CampaignConfig {
-        seed: 3,
-        spec: "cache-corrupt:0.3".parse().expect("valid fault spec"),
-        ..CampaignConfig::default()
-    };
-    run_adaptive_campaign(&config, &AdaptConfig::default())
-        .expect("the campaign runs")
-        .to_json()
+    run_adaptive_campaign(
+        &campaign_config("cache-corrupt:0.3", 32, 3),
+        &AdaptConfig::default(),
+    )
+    .expect("the campaign runs")
+    .to_json()
+}
+
+/// `simulate adapt campaign --spec engine-hang:0.4 --tasks 32 --json`:
+/// quarantines under a controller that can still parole, so records end
+/// in `quarantined-probation`.
+fn adapt_campaign_hang_report() -> String {
+    run_adaptive_campaign(
+        &campaign_config("engine-hang:0.4", 32, 0xC0DE),
+        &AdaptConfig::default(),
+    )
+    .expect("the campaign runs")
+    .to_json()
 }
 
 /// `simulate adapt spmv_crs --epochs 6 --seed 3 --json`: a mode switch
@@ -128,7 +165,18 @@ fn artifacts(threads: usize) -> Vec<(&'static str, &'static str, String)> {
         ("table3", "table", table3::report()),
         ("conformance", "report", conformance_report()),
         ("modelcheck", "report", modelcheck_report(threads)),
+        ("fault_campaign", "report", fault_campaign_report()),
+        (
+            "fault_campaign_degrade",
+            "report",
+            fault_campaign_degrade_report(),
+        ),
         ("adapt_campaign", "report", adapt_campaign_report()),
+        (
+            "adapt_campaign_hang",
+            "report",
+            adapt_campaign_hang_report(),
+        ),
         ("adapt_spmv", "report", adapt_spmv_report()),
         (
             "bench_report",
