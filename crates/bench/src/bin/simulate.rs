@@ -48,7 +48,9 @@
 //! stall signals back into the controller so Fine ⇄ Coarse mode switches
 //! take effect on the next epoch. With the `campaign` pseudo-target it
 //! reruns the fault campaign with the controller in charge of
-//! degradation, probationary re-promotion, and quarantine release.
+//! degradation, probationary re-promotion, and quarantine release; a
+//! campaign has one epoch per `epoch_tasks` tasks, so it refuses
+//! `--epochs`.
 //! `--json` emits the `capcheri.adapt.v1` report; decisions carry their
 //! epoch, rule, raw inputs, and hysteresis state, and the bytes are
 //! identical for any `--threads` value.
@@ -118,8 +120,9 @@ fn usage() -> String {
          \x20               [--seed S] [--threads N] [--json] [--out FILE]\n\
          \x20      simulate profile <benchmark|all> [--variant V] [--tasks N] [--seed S]\n\
          \x20               [--threads N] [--json] [--out FILE]\n\
-         \x20      simulate adapt <benchmark|all|campaign> [--epochs N] [--tasks N] [--seed S]\n\
-         \x20               [--spec SPEC] [--fus N] [--threads N] [--json] [--out FILE]\n\n\
+         \x20      simulate adapt <benchmark|all|campaign> [--tasks N] [--seed S] [--spec SPEC]\n\
+         \x20               [--fus N] [--threads N] [--json] [--out FILE]\n\
+         \x20               [--epochs N (benchmarks only)]\n\n\
          benchmarks: {}\n\
          fault kinds: {}",
         names.join(", "),
@@ -477,8 +480,9 @@ fn run_cells(a: &Args) -> Result<(), Failure> {
     )
 }
 
-/// Applies the campaign flags `faults` and `adapt campaign` share.
-fn campaign_config(a: &Args) -> CampaignConfig {
+/// Applies the campaign flags `faults` and `adapt campaign` share. A
+/// `--tasks` beyond what a campaign can count is a harness failure.
+fn campaign_config(a: &Args) -> Result<CampaignConfig, Failure> {
     let mut config = CampaignConfig::default();
     if let Some(spec) = &a.spec {
         config.spec = spec.clone();
@@ -486,17 +490,17 @@ fn campaign_config(a: &Args) -> CampaignConfig {
     if let Some(fus) = a.fus {
         config.fus = fus;
     }
-    config
-}
-
-fn run_faults(a: &Args) -> Result<(), Failure> {
-    let mut config = campaign_config(a);
     if let Some(tasks) = a.tasks {
         config.tasks = u32::try_from(tasks).map_err(|e| format!("--tasks: {e}"))?;
     }
     if let Some(seed) = a.seed {
         config.seed = seed;
     }
+    Ok(config)
+}
+
+fn run_faults(a: &Args) -> Result<(), Failure> {
+    let config = campaign_config(a)?;
     let report = run_campaign(&config).map_err(|e| format!("campaign failed: {e}"))?;
     if a.json {
         return emit(None, &report.to_json());
@@ -690,7 +694,6 @@ fn run_profile(a: &Args) -> Result<(), Failure> {
 }
 
 fn run_adapt(a: &Args) -> Result<(), Failure> {
-    let seed = a.seed.unwrap_or(0xC0DE);
     if !a.benches.is_empty() {
         // The report serializes only simulated quantities.
         let reports = cells(a.threads(), &a.benches, |bench| {
@@ -698,7 +701,7 @@ fn run_adapt(a: &Args) -> Result<(), Failure> {
                 bench,
                 a.epochs.unwrap_or(4),
                 a.tasks.unwrap_or(1),
-                seed,
+                a.seed.unwrap_or(0xC0DE),
                 AdaptConfig::default(),
             )
         })?;
@@ -711,11 +714,15 @@ fn run_adapt(a: &Args) -> Result<(), Failure> {
             },
         );
     }
-    let mut config = campaign_config(a);
-    if let Some(tasks) = a.tasks {
-        config.tasks = u32::try_from(tasks.max(1)).unwrap_or(u32::MAX);
+    if a.epochs.is_some() {
+        return Err(format!(
+            "--epochs does not apply to `adapt campaign`: a campaign has \
+             one epoch per {} tasks",
+            AdaptConfig::default().epoch_tasks
+        )
+        .into());
     }
-    config.seed = seed;
+    let config = campaign_config(a)?;
     let report = run_adaptive_campaign(&config, &AdaptConfig::default())
         .map_err(|e| format!("adaptive campaign failed: {e}"))?;
     if a.json {

@@ -38,6 +38,7 @@ const CONTRACT: &[(&[&str], i32)] = &[
     (&["faults", "--out", "x.json"], 2),
     (&["faults", "--spec", "bogus:1"], 2),
     (&["faults", "--tasks", "-1"], 2),
+    (&["faults", "--tasks", "4294967296"], 2),
     // conformance
     (&["conformance", "--ops", "50", "--seed", "7"], 0),
     (&["conformance", "--no-such-flag"], 2),
@@ -104,7 +105,10 @@ const CONTRACT: &[(&[&str], i32)] = &[
     (&["profile", "aes", "--out", UNWRITABLE], 2),
     // adapt
     (&["adapt", "aes", "--epochs", "1"], 0),
-    (&["adapt", "campaign", "--tasks", "4", "--epochs", "1"], 0),
+    (&["adapt", "campaign", "--tasks", "4"], 0),
+    // A campaign's epochs follow from its task count.
+    (&["adapt", "campaign", "--tasks", "4", "--epochs", "1"], 2),
+    (&["adapt", "campaign", "--tasks", "4294967296"], 2),
     (&["adapt", "aes", "--variant", "ccpu"], 2),
     (&["adapt", "aes", "--epochs", "-1"], 2),
     (&["adapt", "aes", "--epochs", "1", "--out", UNWRITABLE], 2),

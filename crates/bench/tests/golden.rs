@@ -68,9 +68,9 @@ fn fault_campaign_degrade_report() -> String {
         .to_json()
 }
 
-/// `simulate adapt campaign --epochs 8 --seed 3 --spec cache-corrupt:0.3
-/// --json`: stall-up, cache-degrade, cache-repromote and stall-down, so
-/// every checker rebuild path runs.
+/// `simulate adapt campaign --seed 3 --spec cache-corrupt:0.3 --json`:
+/// stall-up, cache-degrade, cache-repromote and stall-down, so every
+/// checker rebuild path runs.
 fn adapt_campaign_report() -> String {
     run_adaptive_campaign(
         &campaign_config("cache-corrupt:0.3", 32, 3),

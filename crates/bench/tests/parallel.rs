@@ -5,11 +5,8 @@
 //! in cell-index order regardless of which worker computed what, so a
 //! sequential run (`threads = 1`) is the reference for every other count.
 
-use capchecker::{run_campaign_grid, CampaignConfig};
 use capcheri_bench::{fig10, fig11, fig12, fig7, fig8, fig9};
-use hetsim::FaultSpec;
 use std::process::Command;
-use std::str::FromStr;
 
 const THREAD_COUNTS: [usize; 3] = [2, 4, 8];
 
@@ -58,40 +55,6 @@ fn fig12_report_is_byte_identical_for_any_thread_count() {
     let sequential = fig12::report(1);
     for t in THREAD_COUNTS {
         assert_eq!(fig12::report(t), sequential, "threads={t}");
-    }
-}
-
-/// The campaign grid: each campaign is one fan-out cell, and its
-/// `capcheri.fault_campaign.v1` JSON must not depend on the thread count.
-#[test]
-fn campaign_grid_json_is_byte_identical_for_any_thread_count() {
-    let configs: Vec<CampaignConfig> = [
-        ("none", 0xC0DE),
-        ("all:0.8", 0xC0DE),
-        ("engine-hang:1.0", 0x5EED),
-        ("tag-flip:0.5,rogue-dma:0.5", 7),
-    ]
-    .into_iter()
-    .map(|(spec, seed)| CampaignConfig {
-        tasks: 12,
-        seed,
-        spec: FaultSpec::from_str(spec).expect("valid spec"),
-        ..CampaignConfig::default()
-    })
-    .collect();
-
-    let sequential: Vec<String> = run_campaign_grid(&configs, 1)
-        .expect("campaigns run")
-        .iter()
-        .map(capchecker::CampaignReport::to_json)
-        .collect();
-    for t in THREAD_COUNTS {
-        let got: Vec<String> = run_campaign_grid(&configs, t)
-            .expect("campaigns run")
-            .iter()
-            .map(capchecker::CampaignReport::to_json)
-            .collect();
-        assert_eq!(got, sequential, "threads={t}");
     }
 }
 

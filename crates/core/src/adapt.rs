@@ -33,14 +33,10 @@
 //! re-promotion, and quarantine release.
 
 use crate::config::{CachedCheckerConfig, CheckerMode};
-use crate::recovery::{
-    audit_task_tags, synthetic_kernel, CampaignConfig, CampaignReport, RecoveryOutcome, Resolution,
-    TaskRecord, WatchdogEngine,
-};
-use crate::system::{DriverError, HeteroSystem, ProtectionChoice, SystemConfig, TaskRequest};
-use hetsim::fault::{is_engine_level, persists_across_retries, FaultPlan, FaultyEngine};
+use crate::recovery::{Campaign, CampaignConfig, CampaignReport};
+use crate::system::{DriverError, HeteroSystem, ProtectionChoice};
 use obs::json::JsonWriter;
-use obs::{AdaptRule, EventKind, FaultKind, Registry, SharedTracer};
+use obs::{AdaptRule, EventKind};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The controller's tuning knobs. All thresholds are integers so every
@@ -600,7 +596,8 @@ pub struct AdaptiveCampaignReport {
     /// The controller configuration in force.
     pub config: AdaptConfig,
     /// The underlying campaign result (records carry
-    /// [`Resolution::QuarantinedProbation`] where parole was possible).
+    /// [`crate::Resolution::QuarantinedProbation`] where parole was
+    /// possible).
     pub campaign: CampaignReport,
     /// Epochs observed.
     pub epochs: u32,
@@ -617,21 +614,6 @@ pub struct AdaptiveCampaignReport {
 }
 
 impl AdaptiveCampaignReport {
-    /// Tasks that ended in a clean completion (first try or retried).
-    #[must_use]
-    pub fn completed_tasks(&self) -> u64 {
-        self.campaign
-            .records
-            .iter()
-            .filter(|r| {
-                matches!(
-                    r.resolution,
-                    Resolution::Completed | Resolution::RetriedCompleted
-                )
-            })
-            .count() as u64
-    }
-
     /// Serializes the report as deterministic JSON, schema
     /// `capcheri.adapt.v1`. The embedded `campaign` object reuses the
     /// `capcheri.fault_campaign.v1` body writer, so the two cannot drift.
@@ -724,394 +706,125 @@ fn sample_totals(sys: &HeteroSystem) -> Totals {
 ///
 /// Panics only on simulator invariant violations, or on an invalid
 /// [`AdaptConfig`] (see [`AdaptController::new`]).
-#[allow(clippy::too_many_lines)]
 pub fn run_adaptive_campaign(
     config: &CampaignConfig,
     adapt: &AdaptConfig,
 ) -> Result<AdaptiveCampaignReport, DriverError> {
-    let policy = config.policy;
-    let mut sys = HeteroSystem::new(SystemConfig {
-        protection: config.protection,
-        ..SystemConfig::default()
-    });
-    sys.add_fus("accel", config.fus);
-    let tracer = SharedTracer::with_capacity(64 * 1024);
-    sys.set_tracer(tracer.clone());
-
+    let mut campaign = Campaign::new(config);
     let cached_cfg = match config.protection {
         ProtectionChoice::CachedCapChecker(c) => c,
         _ => CachedCheckerConfig::default(),
     };
-    let initial_mode = sys.checker_mode().unwrap_or(CheckerMode::Fine);
-    let mut controller = AdaptController::new(*adapt, initial_mode, sys.cached_checker().is_some());
-
-    let mut plan = FaultPlan::new(config.spec.clone(), config.seed);
-    let mut records: Vec<TaskRecord> = Vec::with_capacity(config.tasks as usize);
-    let mut fu_faults: BTreeMap<usize, u32> = BTreeMap::new();
-    let mut quarantined: BTreeSet<usize> = BTreeSet::new();
-    let mut degraded = false;
-    let mut degrade_detections = 0u64;
-    let mut baseline = sample_totals(&sys);
+    let initial_mode = campaign.sys.checker_mode().unwrap_or(CheckerMode::Fine);
+    let mut controller = AdaptController::new(
+        *adapt,
+        initial_mode,
+        campaign.sys.cached_checker().is_some(),
+    );
+    let mut baseline = sample_totals(&campaign.sys);
 
     for index in 0..config.tasks {
-        let mut injected = plan.sample();
-        let req = TaskRequest::accel(format!("t{index}"), "accel")
-            .rw_buffers([config.buffer_bytes, config.buffer_bytes]);
-        let task = match sys.allocate_task(&req) {
-            Ok(t) => t,
-            Err(DriverError::NoFreeFu { .. }) => {
-                records.push(TaskRecord {
-                    index,
-                    injected: injected.map(|f| f.kind),
-                    attempts: 0,
-                    resolution: Resolution::Starved,
-                    denial: None,
-                    degraded: false,
-                    tags_cleared: 0,
-                });
-                epoch_boundary_if_due(
-                    index,
-                    adapt,
-                    &mut sys,
-                    &mut controller,
-                    &mut baseline,
-                    &mut fu_faults,
-                    &mut quarantined,
-                    &mut degraded,
-                    &mut degrade_detections,
-                    cached_cfg,
-                );
-                continue;
-            }
-            Err(e) => return Err(e),
-        };
-        let fu = sys.task_fu(task)?.expect("campaign tasks are accel tasks");
-
-        if let Some(f) = injected {
-            match f.kind {
-                FaultKind::TagFlip => {
-                    let base = sys.cpu_layout(task)?.buffers[0].base;
-                    let granules = (config.buffer_bytes / 16).max(1);
-                    let addr = base + (f.at_op % granules) * 16;
-                    sys.memory_mut()
-                        .set_tag_raw(addr, true)
-                        .expect("task buffers are in range");
-                }
-                FaultKind::CacheCorrupt => {
-                    // Only a checker over the cache store has lines to flip.
-                    let armed = sys
-                        .checker_mut()
-                        .is_some_and(|c| c.corrupt_next_insert(1 << 70));
-                    if !armed {
-                        injected = None;
-                    }
-                }
-                _ => {}
-            }
+        campaign.run_task(index, Some(&controller))?;
+        if (index + 1).is_multiple_of(adapt.epoch_tasks) {
+            run_epoch(&mut campaign, &mut controller, &mut baseline, cached_cfg);
         }
-        if let Some(f) = injected {
-            sys.record(EventKind::FaultInjected {
-                task: task.0,
-                fault: f.kind,
-            });
-        }
-
-        let mut attempts = 0u32;
-        let mut resolution = None;
-        let mut denial_desc: Option<String> = None;
-
-        while attempts < policy.max_attempts && resolution.is_none() {
-            attempts += 1;
-            let engine_fault = injected.filter(|f| {
-                is_engine_level(f.kind) && (attempts == 1 || persists_across_retries(f.kind))
-            });
-            let run = sys.run_accel_task(task, |eng| {
-                let mut wd = WatchdogEngine::new(eng, policy.watchdog_budget);
-                let mut fe = FaultyEngine::new(&mut wd, engine_fault);
-                synthetic_kernel(&mut fe)
-            });
-            let outcome = match run {
-                Ok(out) => match out.denial {
-                    None => RecoveryOutcome::Completed,
-                    Some(d) => RecoveryOutcome::Denied(d),
-                },
-                Err(DriverError::WatchdogTimeout { ops, .. }) => RecoveryOutcome::TimedOut { ops },
-                Err(DriverError::TransientFault(k)) => RecoveryOutcome::Transient(k),
-                Err(e) => return Err(e),
-            };
-
-            let mut schedule_retry = false;
-            match outcome {
-                RecoveryOutcome::Completed => {
-                    denial_desc = None;
-                    resolution = Some(if attempts > 1 {
-                        Resolution::RetriedCompleted
-                    } else {
-                        Resolution::Completed
-                    });
-                }
-                RecoveryOutcome::Denied(d) => {
-                    denial_desc = Some(format!("{:?}", d.reason));
-                    // Unlike the static campaign, an InvalidTag denial
-                    // does NOT degrade inline: the cached checker already
-                    // dropped the corrupt line, so the retry is safe, and
-                    // the degradation decision belongs to the controller
-                    // at the epoch boundary.
-                    if attempts < policy.max_attempts {
-                        schedule_retry = true;
-                    } else {
-                        resolution = Some(Resolution::Denied);
-                    }
-                }
-                RecoveryOutcome::TimedOut { ops } => {
-                    sys.record(EventKind::WatchdogAbort { task: task.0, ops });
-                    let count = fu_faults.entry(fu).or_insert(0);
-                    *count += 1;
-                    if *count >= policy.quarantine_threshold {
-                        let faults = *count;
-                        sys.quarantine_fu(fu, faults);
-                        quarantined.insert(fu);
-                        denial_desc = Some(format!("engine hung after {ops} ops"));
-                        if controller.fu_can_probate(fu as u32) {
-                            sys.record(EventKind::ProbationStarted {
-                                epoch: controller.epochs(),
-                                window: adapt.probation_epochs,
-                            });
-                            resolution = Some(Resolution::QuarantinedProbation);
-                        } else {
-                            resolution = Some(Resolution::Quarantined);
-                        }
-                    } else if attempts < policy.max_attempts {
-                        schedule_retry = true;
-                    } else {
-                        denial_desc = Some(format!("engine hung after {ops} ops"));
-                        resolution = Some(Resolution::Denied);
-                    }
-                }
-                RecoveryOutcome::Transient(kind) => {
-                    if attempts < policy.max_attempts {
-                        schedule_retry = true;
-                    } else {
-                        denial_desc = Some(format!("transient fault: {kind}"));
-                        resolution = Some(Resolution::Denied);
-                    }
-                }
-            }
-            if schedule_retry {
-                sys.clear_protection_exception();
-                sys.clear_task_fault(task)?;
-                let backoff = policy.backoff_after(attempts);
-                sys.advance_clock(backoff);
-                sys.record(EventKind::TaskRetry {
-                    task: task.0,
-                    attempt: attempts + 1,
-                    backoff,
-                });
-            }
-        }
-        let mut resolution = resolution.unwrap_or(Resolution::Denied);
-
-        let tags_cleared = audit_task_tags(&mut sys, task)?;
-        if tags_cleared > 0 {
-            sys.record(EventKind::TagAudit {
-                task: task.0,
-                cleared: tags_cleared,
-            });
-            if matches!(
-                resolution,
-                Resolution::Completed | Resolution::RetriedCompleted
-            ) {
-                resolution = Resolution::Denied;
-                denial_desc = Some(format!("forged tag audit cleared {tags_cleared}"));
-            }
-        }
-
-        sys.deallocate_task(task)?;
-        records.push(TaskRecord {
-            index,
-            injected: injected.map(|f| f.kind),
-            attempts,
-            resolution,
-            denial: denial_desc,
-            degraded: false,
-            tags_cleared,
-        });
-
-        epoch_boundary_if_due(
-            index,
-            adapt,
-            &mut sys,
-            &mut controller,
-            &mut baseline,
-            &mut fu_faults,
-            &mut quarantined,
-            &mut degraded,
-            &mut degrade_detections,
-            cached_cfg,
-        );
     }
     // A trailing partial epoch still gets its boundary, so every task's
     // signals reach the controller.
     if !config.tasks.is_multiple_of(adapt.epoch_tasks) || config.tasks == 0 {
-        run_epoch(
-            adapt,
-            &mut sys,
-            &mut controller,
-            &mut baseline,
-            &mut fu_faults,
-            &mut quarantined,
-            &mut degraded,
-            &mut degrade_detections,
-            cached_cfg,
-        );
+        run_epoch(&mut campaign, &mut controller, &mut baseline, cached_cfg);
     }
 
-    let mut registry = Registry::new();
-    sys.export_metrics(&mut registry);
-    let snapshot = registry.snapshot();
-    let denied_checks = snapshot.counter("checker.denied").unwrap_or(0)
-        + snapshot.counter("cache.denied").unwrap_or(0);
-    let corruption_detected =
-        degrade_detections + sys.cached_checker().map_or(0, |c| c.corruption_detected());
-
-    let campaign = CampaignReport {
-        seed: config.seed,
-        spec: config.spec.to_string(),
-        tasks: config.tasks,
-        policy,
-        records,
-        degraded,
-        quarantined_fus: sys.quarantined_fus() as u64,
-        driver_cycles: sys.driver_clock(),
-        denied_checks,
-        corruption_detected,
-        events: tracer.recorded(),
-    };
+    let final_mode = campaign.sys.checker_mode().unwrap_or(controller.mode());
     Ok(AdaptiveCampaignReport {
         config: *adapt,
         epochs: controller.epochs(),
         decisions: controller.trace().to_vec(),
-        final_mode: sys.checker_mode().unwrap_or(controller.mode()),
+        final_mode,
         cache_health: controller.cache_health(),
         released_fus: controller.released_fus(),
         latched_fus: controller.latched_fus(),
-        campaign,
+        campaign: campaign.finish(),
     })
 }
 
-#[allow(clippy::too_many_arguments)]
-fn epoch_boundary_if_due(
-    index: u32,
-    adapt: &AdaptConfig,
-    sys: &mut HeteroSystem,
-    controller: &mut AdaptController,
-    baseline: &mut Totals,
-    fu_faults: &mut BTreeMap<usize, u32>,
-    quarantined: &mut BTreeSet<usize>,
-    degraded: &mut bool,
-    degrade_detections: &mut u64,
-    cached_cfg: CachedCheckerConfig,
-) {
-    if (index + 1).is_multiple_of(adapt.epoch_tasks) {
-        run_epoch(
-            adapt,
-            sys,
-            controller,
-            baseline,
-            fu_faults,
-            quarantined,
-            degraded,
-            degrade_detections,
-            cached_cfg,
-        );
-    }
-}
-
 /// Samples signal deltas, consults the controller, applies its decisions
-/// to the live system, and re-baselines the sampler (structural
+/// to the live campaign, and re-baselines the sampler (structural
 /// decisions reset checker statistics).
-#[allow(clippy::too_many_arguments)]
 fn run_epoch(
-    adapt: &AdaptConfig,
-    sys: &mut HeteroSystem,
+    campaign: &mut Campaign<'_>,
     controller: &mut AdaptController,
     baseline: &mut Totals,
-    fu_faults: &mut BTreeMap<usize, u32>,
-    quarantined: &mut BTreeSet<usize>,
-    degraded: &mut bool,
-    degrade_detections: &mut u64,
     cached_cfg: CachedCheckerConfig,
 ) {
-    let now = sample_totals(sys);
+    let now = sample_totals(&campaign.sys);
     let signals = EpochSignals {
         checks: now.checks.saturating_sub(baseline.checks),
         stall_cycles: now.stall.saturating_sub(baseline.stall),
         denied: now.denied.saturating_sub(baseline.denied),
         corruption: now.corruption.saturating_sub(baseline.corruption),
-        quarantined_fus: quarantined.iter().map(|&f| f as u32).collect(),
+        quarantined_fus: campaign.quarantined.iter().map(|&f| f as u32).collect(),
     };
     let decisions = controller.observe(&signals);
     for d in &decisions {
-        sys.record(EventKind::AdaptDecision {
+        campaign.sys.record(EventKind::AdaptDecision {
             epoch: d.epoch,
             rule: d.rule,
         });
         match d.action {
             AdaptAction::DegradeCache => {
-                if let Some((detections, _)) = sys.degrade_to_uncached() {
-                    *degrade_detections += detections;
-                    *degraded = true;
-                }
-                sys.record(EventKind::ProbationStarted {
+                campaign.degrade();
+                campaign.sys.record(EventKind::ProbationStarted {
                     epoch: d.epoch,
-                    window: adapt.probation_epochs,
+                    window: controller.config().probation_epochs,
                 });
             }
             AdaptAction::RepromoteCache => {
-                sys.repromote_to_cached(cached_cfg);
+                campaign.sys.repromote_to_cached(cached_cfg);
                 // The rebuild dropped the installed verdict map; restore
                 // the retained segment proof so elision survives the
                 // probation round-trip.
-                sys.reinstall_segment_verdicts();
-                sys.record(EventKind::ProbationPassed { epoch: d.epoch });
+                campaign.sys.reinstall_segment_verdicts();
+                campaign
+                    .sys
+                    .record(EventKind::ProbationPassed { epoch: d.epoch });
             }
             AdaptAction::LatchCache { degrades } => {
-                sys.record(EventKind::ProbationFailed {
+                campaign.sys.record(EventKind::ProbationFailed {
                     epoch: d.epoch,
                     failures: degrades,
                 });
             }
             AdaptAction::SwitchMode { to, .. } => {
-                sys.set_checker_mode(to);
+                campaign.sys.set_checker_mode(to);
                 // Same coherence dance as re-promotion: map and bitmap
                 // dropped together by the rebuild, re-installed together
                 // from the epoch-scoped ledger. Degradation deliberately
                 // gets no re-install — trust was withdrawn.
-                sys.reinstall_segment_verdicts();
+                campaign.sys.reinstall_segment_verdicts();
             }
             AdaptAction::ReleaseFu { fu } => {
-                sys.release_fu(fu as usize);
-                quarantined.remove(&(fu as usize));
-                // Parole wipes the abort history: a re-quarantine needs a
-                // fresh run of watchdog aborts.
-                fu_faults.remove(&(fu as usize));
-                sys.record(EventKind::ProbationPassed { epoch: d.epoch });
+                campaign.release_fu(fu as usize);
+                campaign
+                    .sys
+                    .record(EventKind::ProbationPassed { epoch: d.epoch });
             }
             AdaptAction::RequarantineFu { releases, .. }
             | AdaptAction::LatchFu { releases, .. } => {
-                sys.record(EventKind::ProbationFailed {
+                campaign.sys.record(EventKind::ProbationFailed {
                     epoch: d.epoch,
                     failures: releases,
                 });
             }
         }
     }
-    *baseline = sample_totals(sys);
+    *baseline = sample_totals(&campaign.sys);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recovery::Resolution;
     use hetsim::fault::FaultSpec;
     use std::str::FromStr;
 
@@ -1372,7 +1085,7 @@ mod tests {
             ..AdaptConfig::default()
         };
         let r = adaptive("cache-corrupt:1", 16, 7, &cfg);
-        assert_eq!(r.completed_tasks(), 16, "every task survived");
+        assert_eq!(r.campaign.completed_tasks(), 16, "every task survived");
         assert!(r.campaign.degraded);
         assert_eq!(r.cache_health, CacheHealth::LatchedDegraded);
         let rules: Vec<AdaptRule> = r.decisions.iter().map(|d| d.rule).collect();
@@ -1420,7 +1133,7 @@ mod tests {
         // controller's only move on a fault-free campaign is a single
         // Fine → Coarse switch — the constant-input guarantee, in vivo.
         let r = adaptive("none", 8, 1, &AdaptConfig::default());
-        assert_eq!(r.completed_tasks(), 8);
+        assert_eq!(r.campaign.completed_tasks(), 8);
         assert_eq!(r.cache_health.label(), "cached");
         assert_eq!(r.epochs, 2, "8 tasks / epoch_tasks=4");
         let rules: Vec<AdaptRule> = r.decisions.iter().map(|d| d.rule).collect();

@@ -80,8 +80,8 @@ pub use config::{CachedCheckerConfig, CheckerConfig, CheckerMode};
 pub use elide::{SegmentVerdicts, StaticVerdict, StaticVerdictMap, VerdictBitmap};
 pub use engines::{CpuEngine, ProtectedEngine, Provenance};
 pub use recovery::{
-    run_campaign, run_campaign_grid, CampaignConfig, CampaignReport, RecoveryOutcome,
-    RecoveryPolicy, Resolution, TaskRecord, WatchdogEngine,
+    run_campaign, CampaignConfig, CampaignReport, RecoveryOutcome, RecoveryPolicy, Resolution,
+    TaskRecord, WatchdogEngine,
 };
 pub use revoke::{sweep_revoked, sweep_revoked_many, sweep_revoked_naive, SweepReport};
 pub use store::CacheStats;

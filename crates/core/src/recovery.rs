@@ -16,6 +16,14 @@
 //!   recovery stack, and ends in exactly one [`Resolution`]. The same
 //!   seed produces a byte-identical [`CampaignReport`].
 //!
+//! There is one campaign loop, with and without a controller. The
+//! crate-private `Campaign` runs each task's body: allocate, inject, the
+//! retry loop below, quarantine, tag audit and teardown. [`run_campaign`]
+//! runs it with no controller; [`crate::adapt::run_adaptive_campaign`]
+//! runs the same body under an [`AdaptController`], which owns
+//! degradation and parole, and consults the controller at epoch
+//! boundaries.
+//!
 //! The recovery state machine per task:
 //!
 //! ```text
@@ -23,21 +31,25 @@
 //!              │
 //!              ├─► denied ──► clear + backoff ──► retry (≤ max_attempts)
 //!              │      │            └─ exhausted ─────► Denied (latched)
-//!              │      └─ InvalidTag on cached checker ► degrade → retry
+//!              │      └─ InvalidTag on cached checker,
+//!              │         no controller ──────────────► degrade → retry
 //!              ├─► watchdog abort ──► count per engine
 //!              │      ├─ below threshold ─ backoff ──► retry
-//!              │      └─ at threshold ───────────────► Quarantined
+//!              │      └─ at threshold ─┬─────────────► Quarantined
+//!              │                       └─ controller can parole
+//!              │                          ───────────► QuarantinedProbation
 //!              ├─► transient ──── backoff ───────────► retry
 //!              └─► forged tag found by post-run audit ► Denied (cleared)
 //! ```
 
+use crate::adapt::AdaptController;
 use crate::config::CachedCheckerConfig;
 use crate::system::{DriverError, HeteroSystem, ProtectionChoice, SystemConfig, TaskRequest};
 use hetsim::fault::{is_engine_level, persists_across_retries, FaultPlan, FaultSpec, FaultyEngine};
 use hetsim::{Cycles, Denial, DenyReason, Engine, ExecFault, TaskId};
 use obs::json::JsonWriter;
 use obs::{EventKind, FaultKind, Registry, SharedTracer};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// A per-task operation-budget watchdog on the engine data path.
@@ -328,6 +340,20 @@ pub struct CampaignReport {
 }
 
 impl CampaignReport {
+    /// Tasks that ended in a clean completion (first try or retried).
+    #[must_use]
+    pub fn completed_tasks(&self) -> u64 {
+        self.records
+            .iter()
+            .filter(|r| {
+                matches!(
+                    r.resolution,
+                    Resolution::Completed | Resolution::RetriedCompleted
+                )
+            })
+            .count() as u64
+    }
+
     /// Injected-fault counts by kind label, in stable order.
     #[must_use]
     pub fn injected_counts(&self) -> BTreeMap<&'static str, u64> {
@@ -440,7 +466,7 @@ impl CampaignReport {
 /// The campaign workload: a small streaming kernel over the task's two
 /// buffers — enough memory operations that every injection window index
 /// lands on real traffic.
-pub(crate) fn synthetic_kernel(eng: &mut dyn Engine) -> Result<(), ExecFault> {
+fn synthetic_kernel(eng: &mut dyn Engine) -> Result<(), ExecFault> {
     for i in 0..16 {
         let x = eng.load_u32(0, i)?;
         eng.store_u32(1, i, x.wrapping_add(1))?;
@@ -453,7 +479,7 @@ pub(crate) fn synthetic_kernel(eng: &mut dyn Engine) -> Result<(), ExecFault> {
 /// capability tags and clears them. An accelerator cannot legitimately
 /// mint capabilities into its buffers, so any tag found there is forged
 /// (or a fault) and must not survive into the next tenant.
-pub(crate) fn audit_task_tags(sys: &mut HeteroSystem, task: TaskId) -> Result<u64, DriverError> {
+fn audit_task_tags(sys: &mut HeteroSystem, task: TaskId) -> Result<u64, DriverError> {
     let layout = sys.cpu_layout(task)?;
     let mut cleared = 0u64;
     for buf in &layout.buffers {
@@ -471,54 +497,98 @@ pub(crate) fn audit_task_tags(sys: &mut HeteroSystem, task: TaskId) -> Result<u6
     Ok(cleared)
 }
 
-/// Runs a seeded fault campaign and returns its deterministic report.
-///
-/// The system under test is a CHERI CPU with `config.protection` on the
-/// accelerator path (default: the cache-backed CapChecker, so the
-/// degradation path is reachable) and `config.fus` engines. Every
-/// task draws one injection decision, runs the synthetic kernel under
-/// `kernel → FaultyEngine → WatchdogEngine → ProtectedEngine`, and is
-/// driven to exactly one [`Resolution`] by the retry loop.
-///
-/// # Errors
-///
-/// Propagates driver platform errors ([`DriverError`]); protection
-/// denials, hangs, and transients are campaign *outcomes*, not errors.
-///
-/// # Panics
-///
-/// Panics only on simulator invariant violations (e.g. a task buffer
-/// outside physical memory), which would be bugs, not fault outcomes.
-pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignReport, DriverError> {
-    let policy = config.policy;
-    // The revocation sweep walks the live-capability index, so campaigns
-    // run at the default physical memory size — sweep cost no longer
-    // scales with it.
-    let mut sys = HeteroSystem::new(SystemConfig {
-        protection: config.protection,
-        ..SystemConfig::default()
-    });
-    sys.add_fus("accel", config.fus);
-    // Long campaigns generate events proportional to task count; the
-    // bounded buffer keeps memory flat while `recorded()` (below) keeps
-    // the report's event count independent of the cap.
-    let tracer = SharedTracer::with_capacity(64 * 1024);
-    sys.set_tracer(tracer.clone());
+/// One fault campaign in flight: the system under test and everything the
+/// driver carries from one task to the next. [`run_campaign`] runs its
+/// tasks with no controller; [`crate::adapt::run_adaptive_campaign`] runs
+/// the same tasks under an [`AdaptController`] and applies the
+/// controller's decisions to the campaign at each epoch boundary.
+pub(crate) struct Campaign<'c> {
+    config: &'c CampaignConfig,
+    pub(crate) sys: HeteroSystem,
+    tracer: SharedTracer,
+    plan: FaultPlan,
+    records: Vec<TaskRecord>,
+    /// Watchdog aborts per functional unit since its last parole.
+    fu_faults: BTreeMap<usize, u32>,
+    /// Functional units quarantined and not released.
+    pub(crate) quarantined: BTreeSet<usize>,
+    degraded: bool,
+    degrade_detections: u64,
+}
 
-    let mut plan = FaultPlan::new(config.spec.clone(), config.seed);
-    let mut records = Vec::with_capacity(config.tasks as usize);
-    let mut fu_faults: BTreeMap<usize, u32> = BTreeMap::new();
-    let mut degraded = false;
-    let mut degrade_detections = 0u64;
+impl<'c> Campaign<'c> {
+    /// A CHERI CPU with `config.protection` on the accelerator path and
+    /// `config.fus` engines, before its first task.
+    pub(crate) fn new(config: &'c CampaignConfig) -> Campaign<'c> {
+        // The revocation sweep walks the live-capability index, so
+        // campaigns run at the default physical memory size — sweep cost
+        // no longer scales with it.
+        let mut sys = HeteroSystem::new(SystemConfig {
+            protection: config.protection,
+            ..SystemConfig::default()
+        });
+        sys.add_fus("accel", config.fus);
+        // Long campaigns generate events proportional to task count; the
+        // bounded buffer keeps memory flat while `recorded()` (in
+        // `finish`) keeps the report's event count independent of the
+        // cap.
+        let tracer = SharedTracer::with_capacity(64 * 1024);
+        sys.set_tracer(tracer.clone());
+        Campaign {
+            config,
+            sys,
+            tracer,
+            plan: FaultPlan::new(config.spec.clone(), config.seed),
+            records: Vec::new(),
+            fu_faults: BTreeMap::new(),
+            quarantined: BTreeSet::new(),
+            degraded: false,
+            degrade_detections: 0,
+        }
+    }
 
-    for index in 0..config.tasks {
-        let mut injected = plan.sample();
+    /// Degrades the cache-backed checker to the fixed table. Returns
+    /// `false` when no cache-backed checker was running.
+    pub(crate) fn degrade(&mut self) -> bool {
+        let Some((detections, _)) = self.sys.degrade_to_uncached() else {
+            return false;
+        };
+        self.degrade_detections += detections;
+        self.degraded = true;
+        true
+    }
+
+    /// Releases a quarantined functional unit on parole. Parole wipes its
+    /// abort history: a re-quarantine needs a fresh run of watchdog
+    /// aborts.
+    pub(crate) fn release_fu(&mut self, fu: usize) {
+        self.sys.release_fu(fu);
+        self.quarantined.remove(&fu);
+        self.fu_faults.remove(&fu);
+    }
+
+    /// Runs task `index` to exactly one [`Resolution`] and records it.
+    ///
+    /// A controller owns degradation and parole. Without one, an
+    /// `InvalidTag` denial degrades the cached checker inline and a
+    /// quarantine is permanent. With one, the retry walks the backing
+    /// table (the checker already dropped the corrupt line), degradation
+    /// waits for the epoch boundary, and a quarantine the controller can
+    /// still parole ends in [`Resolution::QuarantinedProbation`].
+    pub(crate) fn run_task(
+        &mut self,
+        index: u32,
+        controller: Option<&AdaptController>,
+    ) -> Result<(), DriverError> {
+        let policy = self.config.policy;
+        let buffer_bytes = self.config.buffer_bytes;
+        let mut injected = self.plan.sample();
         let req = TaskRequest::accel(format!("t{index}"), "accel")
-            .rw_buffers([config.buffer_bytes, config.buffer_bytes]);
-        let task = match sys.allocate_task(&req) {
+            .rw_buffers([buffer_bytes, buffer_bytes]);
+        let task = match self.sys.allocate_task(&req) {
             Ok(t) => t,
             Err(DriverError::NoFreeFu { .. }) => {
-                records.push(TaskRecord {
+                self.records.push(TaskRecord {
                     index,
                     injected: injected.map(|f| f.kind),
                     attempts: 0,
@@ -527,27 +597,32 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignReport, DriverErr
                     degraded: false,
                     tags_cleared: 0,
                 });
-                continue;
+                return Ok(());
             }
             Err(e) => return Err(e),
         };
-        let fu = sys.task_fu(task)?.expect("campaign tasks are accel tasks");
+        let fu = self
+            .sys
+            .task_fu(task)?
+            .expect("campaign tasks are accel tasks");
 
         // Out-of-band injections happen before the run; a cache-corrupt
         // draw after degradation has no target left and is dropped.
         if let Some(f) = injected {
             match f.kind {
                 FaultKind::TagFlip => {
-                    let base = sys.cpu_layout(task)?.buffers[0].base;
-                    let granules = (config.buffer_bytes / 16).max(1);
+                    let base = self.sys.cpu_layout(task)?.buffers[0].base;
+                    let granules = (buffer_bytes / 16).max(1);
                     let addr = base + (f.at_op % granules) * 16;
-                    sys.memory_mut()
+                    self.sys
+                        .memory_mut()
                         .set_tag_raw(addr, true)
                         .expect("task buffers are in range");
                 }
                 FaultKind::CacheCorrupt => {
                     // Only a checker over the cache store has lines to flip.
-                    let armed = sys
+                    let armed = self
+                        .sys
                         .checker_mut()
                         .is_some_and(|c| c.corrupt_next_insert(1 << 70));
                     if !armed {
@@ -558,7 +633,7 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignReport, DriverErr
             }
         }
         if let Some(f) = injected {
-            sys.record(EventKind::FaultInjected {
+            self.sys.record(EventKind::FaultInjected {
                 task: task.0,
                 fault: f.kind,
             });
@@ -574,7 +649,7 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignReport, DriverErr
             let engine_fault = injected.filter(|f| {
                 is_engine_level(f.kind) && (attempts == 1 || persists_across_retries(f.kind))
             });
-            let run = sys.run_accel_task(task, |eng| {
+            let run = self.sys.run_accel_task(task, |eng| {
                 let mut wd = WatchdogEngine::new(eng, policy.watchdog_budget);
                 let mut fe = FaultyEngine::new(&mut wd, engine_fault);
                 synthetic_kernel(&mut fe)
@@ -604,12 +679,9 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignReport, DriverErr
                     // An integrity failure inside the checker cache is the
                     // degradation trigger: swap to the uncached design and
                     // retry under it.
-                    if d.reason == DenyReason::InvalidTag && sys.cached_checker().is_some() {
-                        if let Some((detections, _)) = sys.degrade_to_uncached() {
-                            degrade_detections += detections;
-                            task_degraded = true;
-                            degraded = true;
-                        }
+                    if controller.is_none() && d.reason == DenyReason::InvalidTag && self.degrade()
+                    {
+                        task_degraded = true;
                     }
                     if attempts < policy.max_attempts {
                         schedule_retry = true;
@@ -618,14 +690,25 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignReport, DriverErr
                     }
                 }
                 RecoveryOutcome::TimedOut { ops } => {
-                    sys.record(EventKind::WatchdogAbort { task: task.0, ops });
-                    let count = fu_faults.entry(fu).or_insert(0);
+                    self.sys
+                        .record(EventKind::WatchdogAbort { task: task.0, ops });
+                    let count = self.fu_faults.entry(fu).or_insert(0);
                     *count += 1;
                     if *count >= policy.quarantine_threshold {
                         let faults = *count;
-                        sys.quarantine_fu(fu, faults);
+                        self.sys.quarantine_fu(fu, faults);
+                        self.quarantined.insert(fu);
                         denial_desc = Some(format!("engine hung after {ops} ops"));
-                        resolution = Some(Resolution::Quarantined);
+                        resolution = Some(match controller {
+                            Some(c) if c.fu_can_probate(fu as u32) => {
+                                self.sys.record(EventKind::ProbationStarted {
+                                    epoch: c.epochs(),
+                                    window: c.config().probation_epochs,
+                                });
+                                Resolution::QuarantinedProbation
+                            }
+                            _ => Resolution::Quarantined,
+                        });
                     } else if attempts < policy.max_attempts {
                         schedule_retry = true;
                     } else {
@@ -643,11 +726,11 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignReport, DriverErr
                 }
             }
             if schedule_retry {
-                sys.clear_protection_exception();
-                sys.clear_task_fault(task)?;
+                self.sys.clear_protection_exception();
+                self.sys.clear_task_fault(task)?;
                 let backoff = policy.backoff_after(attempts);
-                sys.advance_clock(backoff);
-                sys.record(EventKind::TaskRetry {
+                self.sys.advance_clock(backoff);
+                self.sys.record(EventKind::TaskRetry {
                     task: task.0,
                     attempt: attempts + 1,
                     backoff,
@@ -658,9 +741,9 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignReport, DriverErr
 
         // The driver's tag audit runs on every task teardown: a forged
         // tag in a buffer must never survive to the next tenant.
-        let tags_cleared = audit_task_tags(&mut sys, task)?;
+        let tags_cleared = audit_task_tags(&mut self.sys, task)?;
         if tags_cleared > 0 {
-            sys.record(EventKind::TagAudit {
+            self.sys.record(EventKind::TagAudit {
                 task: task.0,
                 cleared: tags_cleared,
             });
@@ -673,8 +756,8 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignReport, DriverErr
             }
         }
 
-        sys.deallocate_task(task)?;
-        records.push(TaskRecord {
+        self.sys.deallocate_task(task)?;
+        self.records.push(TaskRecord {
             index,
             injected: injected.map(|f| f.kind),
             attempts,
@@ -683,57 +766,61 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignReport, DriverErr
             degraded: task_degraded,
             tags_cleared,
         });
+        Ok(())
     }
 
-    let mut registry = Registry::new();
-    sys.export_metrics(&mut registry);
-    let snapshot = registry.snapshot();
-    let denied_checks = snapshot.counter("checker.denied").unwrap_or(0)
-        + snapshot.counter("cache.denied").unwrap_or(0);
-    let corruption_detected =
-        degrade_detections + sys.cached_checker().map_or(0, |c| c.corruption_detected());
-
-    Ok(CampaignReport {
-        seed: config.seed,
-        spec: config.spec.to_string(),
-        tasks: config.tasks,
-        policy,
-        records,
-        degraded,
-        quarantined_fus: sys.quarantined_fus() as u64,
-        driver_cycles: sys.driver_clock(),
-        denied_checks,
-        corruption_detected,
-        events: tracer.recorded(),
-    })
+    /// The campaign's deterministic report.
+    pub(crate) fn finish(self) -> CampaignReport {
+        let mut registry = Registry::new();
+        self.sys.export_metrics(&mut registry);
+        let snapshot = registry.snapshot();
+        let denied_checks = snapshot.counter("checker.denied").unwrap_or(0)
+            + snapshot.counter("cache.denied").unwrap_or(0);
+        let corruption_detected = self.degrade_detections
+            + self
+                .sys
+                .cached_checker()
+                .map_or(0, |c| c.corruption_detected());
+        CampaignReport {
+            seed: self.config.seed,
+            spec: self.config.spec.to_string(),
+            tasks: self.config.tasks,
+            policy: self.config.policy,
+            records: self.records,
+            degraded: self.degraded,
+            quarantined_fus: self.sys.quarantined_fus() as u64,
+            driver_cycles: self.sys.driver_clock(),
+            denied_checks,
+            corruption_detected,
+            events: self.tracer.recorded(),
+        }
+    }
 }
 
-/// Runs a grid of fault campaigns on a scoped worker pool and returns the
-/// reports in `configs` order.
+/// Runs a seeded fault campaign and returns its deterministic report.
 ///
-/// Each campaign owns its whole world — system, shared tracer, fault
-/// plan, metrics registry — so campaigns are the natural fan-out unit;
-/// *within* a campaign the tasks share FU-quarantine and degradation
-/// state and must stay sequential. For any `threads ≥ 1` the returned
-/// reports (and their [`CampaignReport::to_json`] bytes) are identical to
-/// calling [`run_campaign`] in a loop.
+/// The system under test is a CHERI CPU with `config.protection` on the
+/// accelerator path (default: the cache-backed CapChecker, so the
+/// degradation path is reachable) and `config.fus` engines. Every
+/// task draws one injection decision, runs the synthetic kernel under
+/// `kernel → FaultyEngine → WatchdogEngine → ProtectedEngine`, and is
+/// driven to exactly one [`Resolution`] by the retry loop.
 ///
 /// # Errors
 ///
-/// The first [`DriverError`] in `configs` order, if any campaign fails.
+/// Propagates driver platform errors ([`DriverError`]); protection
+/// denials, hangs, and transients are campaign *outcomes*, not errors.
 ///
 /// # Panics
 ///
-/// A panicking worker is resumed on the calling thread after every worker
-/// has been joined (no poisoned-lock cascade; see [`perf::WorkerPanic`]).
-pub fn run_campaign_grid(
-    configs: &[CampaignConfig],
-    threads: usize,
-) -> Result<Vec<CampaignReport>, DriverError> {
-    perf::parallel_map(threads, configs.len(), |i| run_campaign(&configs[i]))
-        .unwrap_or_else(|p| p.resume())
-        .into_iter()
-        .collect()
+/// Panics only on simulator invariant violations (e.g. a task buffer
+/// outside physical memory), which would be bugs, not fault outcomes.
+pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignReport, DriverError> {
+    let mut campaign = Campaign::new(config);
+    for index in 0..config.tasks {
+        campaign.run_task(index, None)?;
+    }
+    Ok(campaign.finish())
 }
 
 #[cfg(test)]

@@ -461,9 +461,10 @@ impl fmt::Debug for Protection {
     }
 }
 
-/// Runs one kernel through a [`ProtectedEngine`] monomorphized for the
-/// concrete protection type `P`, so the per-beat check+translate path is
-/// fully inlined into the engine's load/store bodies.
+/// Runs one kernel through a [`ProtectedEngine`] over `protection`. The
+/// only caller passes `&mut dyn IoProtection`, so every beat's `vet` is a
+/// virtual call. Dispatching once per kernel to a copy monomorphized for
+/// the concrete protection type was measured, and it was slower.
 #[allow(clippy::too_many_arguments)]
 fn drive_kernel<P, F>(
     mem: &mut TaggedMemory,
@@ -1059,10 +1060,8 @@ impl HeteroSystem {
             phase: Phase::Execute,
         });
         let tracer = self.tracer.clone();
-        // Dispatch once per kernel on the concrete protection type so the
-        // per-beat vet pipeline (verdict-bitmap probe included) inlines
-        // into the engine's load/store bodies instead of going through a
-        // second virtual call on every DMA beat.
+        // The engine holds the protection as a trait object, so each DMA
+        // beat's vet (verdict-bitmap probe included) is one virtual call.
         let (result, denial, trace) = drive_kernel(
             &mut self.mem,
             self.protection.as_dyn(),

@@ -20,7 +20,7 @@
 
 use capchecker::{
     run_adaptive_campaign, run_campaign, AdaptConfig, AdaptiveCampaignReport, CachedCheckerConfig,
-    CampaignConfig, CampaignReport, CheckerConfig, CheckerMode, ProtectionChoice, Resolution,
+    CampaignConfig, CheckerConfig, CheckerMode, ProtectionChoice, Resolution,
 };
 use hetsim::{FaultKind, FaultSpec};
 use std::collections::BTreeMap;
@@ -143,7 +143,7 @@ impl AdaptiveSurvival {
     /// Completions under the adaptive controller.
     #[must_use]
     pub fn adaptive_completed(&self) -> u64 {
-        self.adaptive.completed_tasks()
+        self.adaptive.campaign.completed_tasks()
     }
 
     /// The availability claim: the controller never does worse than the
@@ -152,19 +152,6 @@ impl AdaptiveSurvival {
     pub fn adaptive_wins(&self) -> bool {
         self.adaptive_completed() >= self.best_static()
     }
-}
-
-fn completed_of(report: &CampaignReport) -> u64 {
-    report
-        .records
-        .iter()
-        .filter(|r| {
-            matches!(
-                r.resolution,
-                Resolution::Completed | Resolution::RetriedCompleted
-            )
-        })
-        .count() as u64
 }
 
 /// Runs one seeded campaign under three static protection configurations
@@ -205,7 +192,7 @@ pub fn adaptive_vs_static(spec: &FaultSpec, tasks: u32, seed: u64) -> AdaptiveSu
             let report = run_campaign(&config).expect("campaign must not wedge the driver");
             StaticArm {
                 label,
-                completed: completed_of(&report),
+                completed: report.completed_tasks(),
             }
         })
         .collect();
