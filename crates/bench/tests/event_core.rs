@@ -86,6 +86,41 @@ fn wheel_matches_naive_two_kernel_smoke() {
     }
 }
 
+/// Figure 11's contended shape: eight instances of one kernel on one
+/// port. Tasks start in pairs, the highest-numbered first, so lanes that
+/// have not started yet carry lower indices than lanes already served
+/// and win ties with them. backprop and viterbi put 256 lanes on the
+/// bus; fft_transpose, bfs_queue and md_knn vary the lane count and the
+/// memory intensity. Named so the perf-smoke job can run it next to the
+/// two-kernel smoke.
+#[test]
+fn wheel_matches_naive_at_eight_tasks() {
+    let bus = BusConfig::default().with_checker(1);
+    for bench in [
+        Benchmark::Backprop,
+        Benchmark::Viterbi,
+        Benchmark::FftTranspose,
+        Benchmark::BfsQueue,
+        Benchmark::MdKnn,
+    ] {
+        let traces: Vec<Trace> = (0..8).map(|t| kernel_trace(bench, 0x8A5C + t)).collect();
+        let tasks: Vec<AccelTask<'_>> = traces
+            .iter()
+            .enumerate()
+            .map(|(t, trace)| AccelTask {
+                trace,
+                cfg: accel_cfg(bench),
+                start: [30, 30, 8, 8, 1, 1, 0, 0][t],
+            })
+            .collect();
+        let report = assert_cores_agree(bench, &tasks, &bus);
+        assert!(
+            report.bus_utilization > 0.0,
+            "{bench} moved no beats at eight tasks"
+        );
+    }
+}
+
 #[test]
 fn wheel_matches_naive_under_bus_faults() {
     // Stalls move grant times; drops double beat occupancy. Both cores
