@@ -1,7 +1,7 @@
 //! event-core — event-wheel vs stepping timing cores.
 //!
 //! Benches the three implementations of the accelerator timing model over
-//! two adversarial workload shapes:
+//! three adversarial workload shapes:
 //!
 //! * **long-idle** — sparse bus events separated by ~50 k-cycle compute
 //!   stretches. An event-driven core jumps straight between grants; a
@@ -10,6 +10,10 @@
 //!   lane with almost no compute. Here per-event constant cost is
 //!   everything, which is exactly what the wheel's flat cursor arena (vs
 //!   the heap's sift-down per pop) buys.
+//! * **contended** — the dense traces spread over 32 lanes per task, so
+//!   256 lanes queue for the saturated port, as in Figure 11 at eight
+//!   tasks. Every grant is an arbitration decision; the wheel's two
+//!   sorted queues make each one O(1), where the heap pays O(log lanes).
 //!
 //! Cores: `wheel` is the production event wheel
 //! ([`hetsim::timing::simulate_accel_system`]), `heap` the retained naive
@@ -111,6 +115,11 @@ fn measure() -> Vec<(String, f64)> {
             name: "dense",
             traces: dense_traces(),
             lanes: 4,
+        },
+        Shape {
+            name: "contended",
+            traces: dense_traces(),
+            lanes: 32,
         },
     ];
 

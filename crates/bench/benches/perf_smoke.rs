@@ -27,6 +27,7 @@ use cheri::{Capability, Perms};
 use criterion::{black_box, Criterion};
 use hetsim::TaggedMemory;
 use machsuite::Benchmark;
+use obs::json::{flatten, JsonWriter};
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -147,28 +148,22 @@ fn measure() -> Vec<Metric> {
     ]
 }
 
+/// The `capcheri.perf_baseline.v1` document: every metric under
+/// `metrics`, rounded to one decimal like the committed baseline.
 fn to_json(metrics: &[Metric]) -> String {
-    let mut out = String::from("{\n  \"schema\": \"capcheri.perf_baseline.v1\",\n  \"metrics\": {");
-    for (i, m) in metrics.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\n    \"{}\": {:.1}", m.name, m.value));
+    let mut w = JsonWriter::new();
+    w.begin_object();
+    w.key("schema");
+    w.string("capcheri.perf_baseline.v1");
+    w.key("metrics");
+    w.begin_object();
+    for m in metrics {
+        w.key(m.name);
+        w.f64((m.value * 10.0).round() / 10.0);
     }
-    out.push_str("\n  }\n}\n");
-    out
-}
-
-/// Pulls `"name": <number>` out of the baseline file — the schema is ours
-/// and flat, so a scan beats dragging in a JSON parser.
-fn baseline_value(doc: &str, name: &str) -> Option<f64> {
-    let key = format!("\"{name}\":");
-    let at = doc.find(&key)? + key.len();
-    let rest = doc[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+    w.end_object();
+    w.end_object();
+    w.finish()
 }
 
 fn check(metrics: &[Metric], baseline_path: &std::path::Path) -> ExitCode {
@@ -179,9 +174,16 @@ fn check(metrics: &[Metric], baseline_path: &std::path::Path) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    let baseline = match flatten(&doc) {
+        Ok(map) => map,
+        Err(e) => {
+            eprintln!("baseline {} is not JSON: {e}", baseline_path.display());
+            return ExitCode::FAILURE;
+        }
+    };
     let mut failed = false;
     for m in metrics {
-        let Some(base) = baseline_value(&doc, m.name) else {
+        let Some(&base) = baseline.get(&format!("metrics.{}", m.name)) else {
             eprintln!("FAIL {:<26} missing from baseline", m.name);
             failed = true;
             continue;
@@ -233,7 +235,7 @@ fn main() -> ExitCode {
     };
     let metrics = measure();
     let json = to_json(&metrics);
-    print!("{json}");
+    println!("{json}");
     if let Some(path) = value_after("--save") {
         let path = from_root(&path);
         if let Err(e) = std::fs::write(&path, &json) {

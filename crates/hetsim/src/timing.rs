@@ -480,9 +480,11 @@ pub fn simulate_accel_system(tasks: &[AccelTask<'_>], bus: &BusConfig) -> AccelR
 /// one code path, timing cannot diverge.
 ///
 /// This is the event-wheel core: lanes are compact cursors over
-/// pre-folded `(compute, beats)` entries, the next lane to run is the
-/// argmin of the per-lane next-event times, and a granted lane keeps
-/// running inline while no other lane is scheduled earlier. It performs
+/// pre-folded `(compute, beats)` entries, and the next lane to run is
+/// the smaller `(time, lane)` head of two sorted queues — lanes not yet
+/// started, by start, and lanes already served, in grant order (each
+/// grant moves the port's free time strictly forward, so that FIFO stays
+/// sorted). Arbitration is O(1) per grant at any lane count. It performs
 /// the same floating-point operations in the same order as
 /// [`simulate_accel_system_naive`], so results are cycle-for-cycle (in
 /// fact bit-for-bit) identical — the test suite and the CI perf-smoke
@@ -539,7 +541,8 @@ struct WheelLane {
 struct Wheel {
     entries: Vec<LaneEntry>,
     lanes: Vec<WheelLane>,
-    /// Next-event time per lane; `f64::INFINITY` once the lane finished.
+    /// Start time per lane (its task's start); the run loop queues later
+    /// event times itself.
     when: Vec<f64>,
     ring: Vec<f64>,
 }
@@ -675,96 +678,93 @@ fn run_wheel<const TRACING: bool, const PROFILING: bool>(
         }
     }
 
-    let mut remaining = wheel.lanes.len();
-    while remaining > 0 {
-        // Next event: the earliest (time, lane) pair, plus the runner-up
-        // that bounds how long the winner may keep running inline. The
-        // strict `<` keeps the lowest index on ties — the same order the
-        // reference heap's `(Time, usize)` keys produce.
-        let mut li = 0usize;
-        let mut best = f64::INFINITY;
-        let mut other = (f64::INFINITY, usize::MAX);
-        for (i, &t) in wheel.when.iter().enumerate() {
-            if t < best {
-                other = (best, li);
-                best = t;
-                li = i;
-            } else if t < other.0 {
-                other = (t, i);
-            }
-        }
+    // FCFS arbitration in the order the reference heap's `(Time, usize)`
+    // keys pop, from two queues instead of a priority queue. A granted
+    // lane's next event is `grant + beats`, which is the port's new
+    // `bus_free`; a grant never precedes `bus_free` and moves at least one
+    // beat, so `bus_free` strictly increases and each served lane re-enters
+    // behind every lane already queued. The served lanes therefore form a
+    // FIFO sorted by time. Lanes that have not started keep their start
+    // times and are sorted once, by (start, lane) — the sort is stable.
+    // The next lane is the smaller (time, lane) of the two heads, and a
+    // finished lane is simply not queued again.
+    let mut fresh: Vec<(f64, usize)> = wheel.when.iter().copied().zip(0..).collect();
+    fresh.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let mut fresh = fresh.into_iter().peekable();
+    let mut served: VecDeque<(f64, usize)> = VecDeque::with_capacity(wheel.lanes.len());
+    loop {
+        let next = match (fresh.peek(), served.front()) {
+            (Some(f), Some(s)) if s < f => served.pop_front(),
+            (Some(_), _) => fresh.next(),
+            (None, _) => served.pop_front(),
+        };
+        let Some((mut t, li)) = next else { break };
         let mut lane = wheel.lanes[li];
         let task_idx = lane.task as usize;
         let window = lane.window as usize;
-        let mut t = wheel.when[li];
-        loop {
-            if lane.cursor == lane.end {
-                // Lane finished issuing: retire its tail compute, then
-                // wait for its in-flight requests.
-                if lane.tail_units != 0 {
-                    t += lane.tail_units as f64 / lane.cpc;
-                }
-                let drain = if lane.ring_len > 0 {
-                    let back = (lane.ring_head + lane.ring_len - 1) as usize % window;
-                    wheel.ring[lane.ring_start + back]
-                } else {
-                    t
-                };
-                let done = t.max(drain).ceil() as Cycles;
-                per_task[task_idx] = per_task[task_idx].max(done);
-                wheel.when[li] = f64::INFINITY;
-                remaining -= 1;
-                break;
+        if lane.cursor == lane.end {
+            // Lane finished issuing: retire its tail compute, then wait
+            // for its in-flight requests.
+            if lane.tail_units != 0 {
+                t += lane.tail_units as f64 / lane.cpc;
             }
-            let e = wheel.entries[lane.cursor];
-            lane.cursor += 1;
-            t += e.pre_cycles;
-            let mut beats = e.base_beats;
-            grants += 1;
-            // Interconnect faults: a dropped transfer retransmits (double
-            // occupancy); a stalled grant waits out the arbiter. Both are
-            // counter-periodic, so reproducible.
-            if bus.faults.drops(grants) {
-                beats *= 2;
-            }
-            let stall = bus.faults.stall_for(grants) as f64;
-            let mut ready = t;
-            if lane.ring_len as usize >= window {
-                ready = ready.max(wheel.ring[lane.ring_start + lane.ring_head as usize]);
-                lane.ring_head = ((lane.ring_head as usize + 1) % window) as u32;
-                lane.ring_len -= 1;
-            }
-            let grant = ready.max(bus_free) + stall;
-            if TRACING {
-                tracer.record(
-                    grant as u64,
-                    EventKind::BusGrant {
-                        lane: li as u32,
-                        task: lane.task,
-                        beats,
-                        waited: (grant - ready) as u64,
-                    },
-                );
-            }
-            if PROFILING {
-                prof.observe("accel.req_wait", (grant - ready) as u64);
-                prof.observe("accel.req_beats", beats);
-            }
-            bus_free = grant + beats as f64;
-            bus_beats += beats;
-            let slot = (lane.ring_head as usize + lane.ring_len as usize) % window;
-            wheel.ring[lane.ring_start + slot] = grant + beats as f64 + latency;
-            lane.ring_len += 1;
-            t = grant + beats as f64;
-            // The wheel's monotonic jump: time advances straight to this
-            // lane's next grant as long as no other lane has an earlier
-            // event — idle port cycles are skipped, never stepped.
-            if other.0 < t || (other.0 == t && other.1 < li) {
-                wheel.when[li] = t;
-                break;
-            }
+            let drain = if lane.ring_len > 0 {
+                let back = (lane.ring_head + lane.ring_len - 1) as usize % window;
+                wheel.ring[lane.ring_start + back]
+            } else {
+                t
+            };
+            let done = t.max(drain).ceil() as Cycles;
+            per_task[task_idx] = per_task[task_idx].max(done);
+            continue;
         }
+        let e = wheel.entries[lane.cursor];
+        lane.cursor += 1;
+        t += e.pre_cycles;
+        let mut beats = e.base_beats;
+        grants += 1;
+        // Interconnect faults: a dropped transfer retransmits (double
+        // occupancy); a stalled grant waits out the arbiter. Both are
+        // counter-periodic, so reproducible.
+        if bus.faults.drops(grants) {
+            beats *= 2;
+        }
+        let stall = bus.faults.stall_for(grants) as f64;
+        let mut ready = t;
+        if lane.ring_len as usize >= window {
+            ready = ready.max(wheel.ring[lane.ring_start + lane.ring_head as usize]);
+            lane.ring_head = ((lane.ring_head as usize + 1) % window) as u32;
+            lane.ring_len -= 1;
+        }
+        let grant = ready.max(bus_free) + stall;
+        if TRACING {
+            tracer.record(
+                grant as u64,
+                EventKind::BusGrant {
+                    lane: li as u32,
+                    task: lane.task,
+                    beats,
+                    waited: (grant - ready) as u64,
+                },
+            );
+        }
+        if PROFILING {
+            prof.observe("accel.req_wait", (grant - ready) as u64);
+            prof.observe("accel.req_beats", beats);
+        }
+        bus_free = grant + beats as f64;
+        bus_beats += beats;
+        let slot = (lane.ring_head as usize + lane.ring_len as usize) % window;
+        wheel.ring[lane.ring_start + slot] = grant + beats as f64 + latency;
+        lane.ring_len += 1;
         wheel.lanes[li] = lane;
+        // The lane's next event is the port's new free time, so idle port
+        // cycles are jumped over, never stepped.
+        debug_assert!(
+            served.back().is_none_or(|&(back, _)| back < bus_free),
+            "a served lane re-entered ahead of the served queue's back"
+        );
+        served.push_back((bus_free, li));
     }
 
     if TRACING {

@@ -1,9 +1,13 @@
-//! A hand-rolled JSON writer and a minimal validator.
+//! A hand-rolled JSON writer, a minimal validator and a numeric reader.
 //!
 //! The workspace builds offline, so there is no serde; the writer covers
 //! exactly what the exporters need (objects, arrays, strings, integers,
 //! finite floats, booleans) and the validator exists so tests can assert
 //! well-formedness of every exported byte without external tooling.
+//! [`flatten`] is the one reader: it turns a document into its numeric
+//! leaves by dotted path, which is all the perf tools compare.
+
+use std::collections::BTreeMap;
 
 /// Escapes `s` for use inside a JSON string literal (without the quotes).
 #[must_use]
@@ -301,6 +305,134 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<(), String> {
     Ok(())
 }
 
+/// Flattens every numeric leaf of one JSON document into
+/// `dotted.path -> value`. Array elements use their index as the path
+/// segment. Strings, booleans, and nulls are skipped; duplicate paths
+/// keep the last value.
+///
+/// # Errors
+///
+/// The [`validate`] message when `text` is not one well-formed JSON value.
+pub fn flatten(text: &str) -> Result<BTreeMap<String, f64>, String> {
+    validate(text)?;
+    let mut out = BTreeMap::new();
+    let bytes = text.as_bytes();
+    let mut pos = 0usize;
+    skip_ws(bytes, &mut pos);
+    walk(bytes, &mut pos, "", &mut out);
+    Ok(out)
+}
+
+fn join(path: &str, segment: &str) -> String {
+    if path.is_empty() {
+        segment.to_owned()
+    } else {
+        format!("{path}.{segment}")
+    }
+}
+
+/// Consumes one already-validated JSON value, recording number leaves.
+fn walk(bytes: &[u8], pos: &mut usize, path: &str, out: &mut BTreeMap<String, f64>) {
+    skip_ws(bytes, pos);
+    match bytes[*pos] {
+        b'{' => {
+            *pos += 1;
+            loop {
+                skip_ws(bytes, pos);
+                if bytes[*pos] == b'}' {
+                    *pos += 1;
+                    return;
+                }
+                let key = take_string(bytes, pos);
+                skip_ws(bytes, pos);
+                *pos += 1; // ':'
+                walk(bytes, pos, &join(path, &key), out);
+                skip_ws(bytes, pos);
+                if bytes[*pos] == b',' {
+                    *pos += 1;
+                }
+            }
+        }
+        b'[' => {
+            *pos += 1;
+            let mut index = 0usize;
+            loop {
+                skip_ws(bytes, pos);
+                if bytes[*pos] == b']' {
+                    *pos += 1;
+                    return;
+                }
+                walk(bytes, pos, &join(path, &index.to_string()), out);
+                index += 1;
+                skip_ws(bytes, pos);
+                if bytes[*pos] == b',' {
+                    *pos += 1;
+                }
+            }
+        }
+        b'"' => {
+            take_string(bytes, pos);
+        }
+        b't' => *pos += 4,
+        b'f' => *pos += 5,
+        b'n' => *pos += 4,
+        _ => {
+            let start = *pos;
+            while *pos < bytes.len()
+                && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
+            {
+                *pos += 1;
+            }
+            if let Ok(v) = std::str::from_utf8(&bytes[start..*pos])
+                .unwrap_or("")
+                .parse::<f64>()
+            {
+                out.insert(path.to_owned(), v);
+            }
+        }
+    }
+}
+
+/// Consumes a validated JSON string, returning its content with simple
+/// escapes resolved (`\uXXXX` becomes `?` — path segments only).
+fn take_string(bytes: &[u8], pos: &mut usize) -> String {
+    let mut s = String::new();
+    *pos += 1; // opening quote
+    loop {
+        match bytes[*pos] {
+            b'"' => {
+                *pos += 1;
+                return s;
+            }
+            b'\\' => {
+                *pos += 1;
+                match bytes[*pos] {
+                    b'u' => {
+                        s.push('?');
+                        *pos += 5;
+                    }
+                    b'n' => {
+                        s.push('\n');
+                        *pos += 1;
+                    }
+                    b't' => {
+                        s.push('\t');
+                        *pos += 1;
+                    }
+                    other => {
+                        s.push(other as char);
+                        *pos += 1;
+                    }
+                }
+            }
+            other => {
+                s.push(other as char);
+                *pos += 1;
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -334,6 +466,16 @@ mod tests {
         assert_eq!(number(f64::NAN), "0");
         assert_eq!(number(f64::INFINITY), "0");
         assert_eq!(number(1.5), "1.5");
+    }
+
+    #[test]
+    fn flatten_walks_objects_arrays_and_skips_non_numbers() {
+        let map = flatten("{\"a\":{\"b\":1.5,\"c\":[2,3]},\"s\":\"text\",\"t\":true,\"n\":null}")
+            .unwrap();
+        assert_eq!(map.get("a.b"), Some(&1.5));
+        assert_eq!(map.get("a.c.0"), Some(&2.0));
+        assert_eq!(map.get("a.c.1"), Some(&3.0));
+        assert_eq!(map.len(), 3);
     }
 
     #[test]
