@@ -195,3 +195,79 @@ fn cpu_and_accelerator_compute_identical_bytes() {
         assert_eq!(x, y, "{bench}: buffer {obj} differs between targets");
     }
 }
+
+/// Every way a kernel reaches memory records the same operations: the
+/// trace the system keeps for a task equals, op for op, the trace of an
+/// unprotected engine over the task's physical layout, whatever guards
+/// the accelerator and whether or not the CPU checks its own accesses.
+#[test]
+fn every_target_records_the_unprotected_trace() {
+    use cheri_hetero::capchecker::CachedCheckerConfig;
+    use cheri_hetero::hetsim::DirectEngine;
+    use cheri_hetero::ioprotect::{IommuConfig, IopmpConfig};
+
+    let accel = [
+        ProtectionChoice::None,
+        ProtectionChoice::Iopmp(IopmpConfig::default()),
+        ProtectionChoice::Iommu(IommuConfig::default()),
+        ProtectionChoice::Snpu,
+        ProtectionChoice::CapChecker(CheckerConfig::fine()),
+        ProtectionChoice::CapChecker(CheckerConfig::coarse()),
+        ProtectionChoice::CachedCapChecker(CachedCheckerConfig::default()),
+    ];
+    let targets = accel
+        .into_iter()
+        .map(|protection| {
+            let config = SystemConfig {
+                protection,
+                ..SystemConfig::default()
+            };
+            (format!("{protection:?}"), config, true)
+        })
+        .chain(
+            [SystemVariant::Cpu, SystemVariant::CheriCpu]
+                .map(|v| (v.to_string(), v.config(), false)),
+        );
+    let mut cases = 0;
+    for (label, config, on_accel) in targets {
+        for bench in Benchmark::ALL {
+            let seed = 0x7ACE;
+            let mut sys = HeteroSystem::new(config);
+            let sizes = bench.buffers().iter().map(|b| b.size);
+            let req = if on_accel {
+                sys.add_fus(bench.name(), 1);
+                TaskRequest::accel("t", bench.name()).rw_buffers(sizes)
+            } else {
+                TaskRequest::cpu("t").rw_buffers(sizes)
+            };
+            let id = sys.allocate_task(&req).expect("allocation succeeds");
+            let images = bench.init(seed);
+            for (obj, image) in images.iter().enumerate() {
+                sys.write_buffer(id, obj, 0, image).expect("init fits");
+            }
+            let outcome = if on_accel {
+                sys.run_accel_task(id, |eng| bench.kernel(eng))
+            } else {
+                sys.run_cpu_task(id, |eng| bench.kernel(eng))
+            }
+            .expect("runs");
+            assert!(outcome.completed(), "{bench} on {label}");
+
+            let layout = sys.cpu_layout(id).expect("live task");
+            let mut mem = TaggedMemory::new(sys.memory().size());
+            for (region, image) in layout.buffers.iter().zip(&images) {
+                mem.write_bytes(region.base, image).expect("init fits");
+            }
+            let mut direct = DirectEngine::new(&mut mem, layout);
+            bench.kernel(&mut direct).expect("unprotected run");
+            let recorded = sys.trace(id).expect("live task").expect("trace kept");
+            assert_eq!(
+                recorded.ops(),
+                direct.trace().ops(),
+                "{bench} on {label}: recorded trace differs"
+            );
+            cases += 1;
+        }
+    }
+    assert_eq!(cases, 9 * Benchmark::ALL.len());
+}
