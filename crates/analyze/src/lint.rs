@@ -264,17 +264,27 @@ fn is_timing_path(file: &str) -> bool {
 
 /// The files on the per-access hot path, where a panic aborts the
 /// simulated machine instead of latching a fault: the checker front end,
-/// its two capability stores, the elision bitmap, and the timing core —
-/// plus the run entry point every cell passes through, which reports a
-/// failed run as a typed error. Paths are relative to the repository
+/// its two capability stores, the elision bitmap, the memory engine and
+/// its gates, tagged memory, the trace, the baseline protection
+/// mechanisms, and the timing core — plus the run entry point every cell
+/// passes through, which reports a failed run as a typed error. Paths are relative to the repository
 /// root, and each must exist — a renamed file would otherwise drop out
 /// of the rule silently.
-pub const HOT_PATH_FILES: [&str; 6] = [
+pub const HOT_PATH_FILES: [&str; 15] = [
     "crates/core/src/checker.rs",
     "crates/core/src/store.rs",
     "crates/core/src/table.rs",
     "crates/core/src/elide.rs",
+    "crates/core/src/engines.rs",
+    "crates/hetsim/src/engine.rs",
+    "crates/hetsim/src/memory.rs",
+    "crates/hetsim/src/trace.rs",
     "crates/hetsim/src/timing.rs",
+    "crates/ioprotect/src/lib.rs",
+    "crates/ioprotect/src/none.rs",
+    "crates/ioprotect/src/iopmp.rs",
+    "crates/ioprotect/src/iommu.rs",
+    "crates/ioprotect/src/snpu.rs",
     "crates/bench/src/runner.rs",
 ];
 

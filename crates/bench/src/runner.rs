@@ -2,8 +2,8 @@
 //! and costs it with the timing models.
 
 use capchecker::{
-    CacheStats, CachedCheckerConfig, CapChecker, CheckAttribution, DriverError, HeteroSystem,
-    ProtectionChoice, StaticVerdictMap, SystemVariant, TaskRequest,
+    CachedCheckerConfig, CapChecker, CheckAttribution, DriverError, HeteroSystem, ProtectionChoice,
+    StaticVerdictMap, SystemVariant, TaskRequest,
 };
 use capcheri_analyze::{declared_perms, BenchAnalysis};
 use hetsim::timing::{
@@ -12,6 +12,7 @@ use hetsim::timing::{
 };
 use hetsim::{Cycles, Denial, Trace};
 use machsuite::Benchmark;
+use obs::stats::CacheStats;
 use obs::{
     NullProfiler, NullTracer, ProfileSnapshot, Profiler, Registry, SharedTracer, Snapshot,
     SpanProfiler, TraceBuffer, Tracer,

@@ -1,6 +1,6 @@
 //! Hot-path check attribution: who is paying for capability checks.
 //!
-//! The checker's [`CheckerStats`](crate::CheckerStats) counters answer
+//! The checker's [`CheckerStats`](obs::stats::CheckerStats) counters answer
 //! *how many* checks happened; this module answers *where* — per bus
 //! master (functional unit) and per `(task, object)` capability pair.
 //! The maps are `BTreeMap`s, so iteration order — and therefore every

@@ -28,12 +28,13 @@
 use crate::attrib::CheckAttribution;
 use crate::config::{CachedCheckerConfig, CheckerConfig, CheckerMode};
 use crate::elide::{StaticVerdictMap, VerdictBitmap};
-use crate::store::{CacheStats, CapCache, Store};
+use crate::store::{CapCache, Store};
 use crate::table::CapabilityTable;
 use cheri::{Capability, CompressedCapability, Perms};
 use hetsim::mmio::MmioDevice;
 use hetsim::{Access, AccessKind, Cycles, Denial, DenyReason, ObjectId, TaskId};
 use ioprotect::{GrantError, Granularity, IoProtection, MechanismProperties};
+use obs::stats::{CacheStats, CheckerStats};
 use obs::Registry;
 use std::fmt;
 
@@ -71,8 +72,6 @@ pub mod regs {
     /// COMMIT status: staged capability was invalid (tag clear or sealed).
     pub const STATUS_INVALID: u64 = 2;
 }
-
-pub use obs::stats::CheckerStats;
 
 /// Architectural state of a [`CapChecker`] captured by
 /// [`CapChecker::snapshot`]: the store's capabilities, its exception

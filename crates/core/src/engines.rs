@@ -1,19 +1,17 @@
-//! Execution engines binding kernels to the protected memory paths.
+//! The gates that stand in front of the one memory engine
+//! ([`hetsim::MemEngine`]) on each path a kernel takes to memory.
 //!
-//! [`ProtectedEngine`] is the accelerator's view: every access crosses the
+//! [`Vet`] is the accelerator's DMA path: every access crosses the
 //! interconnect as an [`Access`] and is vetted by the system's protection
 //! mechanism before touching memory (and writes clear capability tags —
 //! DMA is capability-unaware by construction).
 //!
-//! [`CpuEngine`] is the CPU's view: on a CHERI CPU every access is checked
+//! [`CapRegs`] is the CPU's view: on a CHERI CPU every access is checked
 //! against the buffer's own capability in the register file; on a plain
 //! CPU nothing is checked.
 
 use cheri::{Capability, Perms};
-use hetsim::{
-    Access, AccessKind, Denial, DenyReason, Engine, ExecFault, MasterId, ObjectId, TaggedMemory,
-    TaskId, TaskLayout, Trace, TraceOp,
-};
+use hetsim::{Access, AccessKind, Denial, DenyReason, ExecFault, Gate, MasterId, ObjectId, TaskId};
 use ioprotect::IoProtection;
 use obs::{EventKind, SharedTracer, Tracer};
 use std::fmt;
@@ -29,21 +27,16 @@ pub enum Provenance {
     Opaque,
 }
 
-/// The accelerator-side engine: kernel accesses become bus requests that
+/// The accelerator-side gate: kernel accesses become bus requests that
 /// the protection mechanism vets.
 ///
-/// Generic over the protection type so the driver can monomorphize the
-/// per-beat vet pipeline for each concrete checker (one virtual call per
-/// kernel op instead of two, with the verdict-bitmap probe inlined); the
-/// `dyn IoProtection` default keeps heterogeneous call sites working.
-pub struct ProtectedEngine<'a, P: IoProtection + ?Sized = dyn IoProtection> {
-    mem: &'a mut TaggedMemory,
-    protection: &'a mut P,
-    layout: TaskLayout,
+/// The mechanism is held as a trait object, so each request's `vet` is
+/// one virtual call whatever the mechanism is.
+pub struct Vet<'a> {
+    protection: &'a mut dyn IoProtection,
     master: MasterId,
     task: TaskId,
     provenance: Provenance,
-    trace: Trace,
     first_denial: Option<Denial>,
     /// Optional event sink; check events are stamped with the request
     /// index (the functional path has no cycle clock of its own).
@@ -51,51 +44,30 @@ pub struct ProtectedEngine<'a, P: IoProtection + ?Sized = dyn IoProtection> {
     requests: u64,
 }
 
-impl<'a, P: IoProtection + ?Sized> ProtectedEngine<'a, P> {
+impl<'a> Vet<'a> {
     /// Binds a task's accelerator execution to the protected memory path.
+    /// With a `tracer`, every vetted request is recorded as a
+    /// checker-check event (plus an exception event when refused).
     ///
-    /// `layout` holds the *accelerator-visible* base addresses — physical
-    /// for Fine-mode and baseline systems, object-tagged for Coarse.
+    /// The engine's layout holds the *accelerator-visible* base addresses
+    /// — physical for Fine-mode and baseline systems, object-tagged for
+    /// Coarse.
     pub fn new(
-        mem: &'a mut TaggedMemory,
-        protection: &'a mut P,
-        layout: TaskLayout,
+        protection: &'a mut dyn IoProtection,
         master: MasterId,
         task: TaskId,
         provenance: Provenance,
-    ) -> ProtectedEngine<'a, P> {
-        ProtectedEngine {
-            mem,
+        tracer: Option<SharedTracer>,
+    ) -> Vet<'a> {
+        Vet {
             protection,
-            layout,
             master,
             task,
             provenance,
-            trace: Trace::new(),
             first_denial: None,
-            tracer: None,
+            tracer,
             requests: 0,
         }
-    }
-
-    /// Attaches an event sink; every vetted request is recorded as a
-    /// checker-check event (plus an exception event when refused).
-    #[must_use]
-    pub fn with_tracer(mut self, tracer: SharedTracer) -> ProtectedEngine<'a, P> {
-        self.tracer = Some(tracer);
-        self
-    }
-
-    /// The recorded trace so far.
-    #[must_use]
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    /// Consumes the engine, returning the trace.
-    #[must_use]
-    pub fn into_trace(self) -> Trace {
-        self.trace
     }
 
     /// The first refused access, if any (the latched exception).
@@ -103,16 +75,17 @@ impl<'a, P: IoProtection + ?Sized> ProtectedEngine<'a, P> {
     pub fn first_denial(&self) -> Option<Denial> {
         self.first_denial
     }
+}
 
+impl Gate for Vet<'_> {
     #[inline]
-    fn request(
+    fn pass(
         &mut self,
         obj: usize,
-        offset: u64,
+        addr: u64,
         len: u64,
         kind: AccessKind,
     ) -> Result<u64, ExecFault> {
-        let addr = self.layout.address(obj, offset);
         let object = match self.provenance {
             Provenance::PerObjectPorts => Some(ObjectId(obj as u16)),
             Provenance::Opaque => None,
@@ -150,123 +123,52 @@ impl<'a, P: IoProtection + ?Sized> ProtectedEngine<'a, P> {
             }
         }
         self.requests += 1;
-        match verdict {
-            Ok(phys) => Ok(phys),
-            Err(denial) => {
-                self.first_denial.get_or_insert(denial);
-                Err(ExecFault::Denied(denial))
-            }
-        }
+        verdict.map_err(|denial| {
+            self.first_denial.get_or_insert(denial);
+            ExecFault::Denied(denial)
+        })
     }
 }
 
-impl<P: IoProtection + ?Sized> Engine for ProtectedEngine<'_, P> {
-    hetsim::impl_typed_engine_helpers!();
-
-    #[inline]
-    fn load(&mut self, obj: usize, offset: u64, size: u8) -> Result<u64, ExecFault> {
-        let phys = self.request(obj, offset, u64::from(size), AccessKind::Read)?;
-        let v = self.mem.read_uint(phys, size)?;
-        self.trace.push(TraceOp::Mem {
-            addr: phys,
-            bytes: u16::from(size),
-            write: false,
-            object: obj as u16,
-        });
-        Ok(v)
-    }
-
-    #[inline]
-    fn store(&mut self, obj: usize, offset: u64, size: u8, value: u64) -> Result<(), ExecFault> {
-        let phys = self.request(obj, offset, u64::from(size), AccessKind::Write)?;
-        // write_uint is tag-clearing: granted DMA writes can never leave a
-        // valid capability behind.
-        self.mem.write_uint(phys, size, value)?;
-        self.trace.push(TraceOp::Mem {
-            addr: phys,
-            bytes: u16::from(size),
-            write: true,
-            object: obj as u16,
-        });
-        Ok(())
-    }
-
-    fn compute(&mut self, units: u64) {
-        if units > 0 {
-            self.trace.push(TraceOp::Compute(units));
-        }
-    }
-
-    fn copy(
-        &mut self,
-        dst_obj: usize,
-        dst_off: u64,
-        src_obj: usize,
-        src_off: u64,
-        len: u64,
-    ) -> Result<(), ExecFault> {
-        let src = self.request(src_obj, src_off, len, AccessKind::Read)?;
-        let dst = self.request(dst_obj, dst_off, len, AccessKind::Write)?;
-        let mut buf = vec![0u8; len as usize];
-        self.mem.read_bytes(src, &mut buf)?;
-        self.mem.write_bytes(dst, &buf)?;
-        self.trace.push(TraceOp::Copy {
-            src,
-            dst,
-            bytes: len,
-        });
-        Ok(())
-    }
-}
-
-impl<P: IoProtection + ?Sized> fmt::Debug for ProtectedEngine<'_, P> {
+impl fmt::Debug for Vet<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ProtectedEngine")
+        f.debug_struct("Vet")
+            .field("protection", &self.protection.name())
             .field("task", &self.task)
             .field("provenance", &self.provenance)
-            .field("trace_len", &self.trace.len())
+            .field("requests", &self.requests)
             .finish()
     }
 }
 
-/// The CPU-side engine: the task's own capabilities check every access
+/// The CPU-side gate: the task's own capabilities check every access
 /// when the core is CHERI-extended.
-pub struct CpuEngine<'a> {
-    mem: &'a mut TaggedMemory,
-    layout: TaskLayout,
+#[derive(Debug)]
+pub struct CapRegs {
     /// Per-object capabilities; `None` models a CHERI-unaware CPU.
     caps: Option<Vec<Capability>>,
     task: TaskId,
-    trace: Trace,
 }
 
-impl<'a> CpuEngine<'a> {
+impl CapRegs {
     /// Binds a CPU task; pass `caps` to model the CHERI CPU.
-    pub fn new(
-        mem: &'a mut TaggedMemory,
-        layout: TaskLayout,
-        caps: Option<Vec<Capability>>,
-        task: TaskId,
-    ) -> CpuEngine<'a> {
-        CpuEngine {
-            mem,
-            layout,
-            caps,
-            task,
-            trace: Trace::new(),
-        }
-    }
-
-    /// Consumes the engine, returning the trace.
     #[must_use]
-    pub fn into_trace(self) -> Trace {
-        self.trace
+    pub fn new(caps: Option<Vec<Capability>>, task: TaskId) -> CapRegs {
+        CapRegs { caps, task }
     }
+}
 
+impl Gate for CapRegs {
     #[inline]
-    fn check(&self, obj: usize, addr: u64, len: u64, kind: AccessKind) -> Result<(), ExecFault> {
+    fn pass(
+        &mut self,
+        obj: usize,
+        addr: u64,
+        len: u64,
+        kind: AccessKind,
+    ) -> Result<u64, ExecFault> {
         let Some(caps) = &self.caps else {
-            return Ok(());
+            return Ok(addr);
         };
         let needed = match kind {
             AccessKind::Read => Perms::LOAD,
@@ -284,78 +186,8 @@ impl<'a> CpuEngine<'a> {
                 },
                 reason: DenyReason::Capability(fault),
             })
-        })
-    }
-}
-
-impl Engine for CpuEngine<'_> {
-    hetsim::impl_typed_engine_helpers!();
-
-    #[inline]
-    fn load(&mut self, obj: usize, offset: u64, size: u8) -> Result<u64, ExecFault> {
-        let addr = self.layout.address(obj, offset);
-        self.check(obj, addr, u64::from(size), AccessKind::Read)?;
-        let v = self.mem.read_uint(addr, size)?;
-        self.trace.push(TraceOp::Mem {
-            addr,
-            bytes: u16::from(size),
-            write: false,
-            object: obj as u16,
-        });
-        Ok(v)
-    }
-
-    #[inline]
-    fn store(&mut self, obj: usize, offset: u64, size: u8, value: u64) -> Result<(), ExecFault> {
-        let addr = self.layout.address(obj, offset);
-        self.check(obj, addr, u64::from(size), AccessKind::Write)?;
-        self.mem.write_uint(addr, size, value)?;
-        self.trace.push(TraceOp::Mem {
-            addr,
-            bytes: u16::from(size),
-            write: true,
-            object: obj as u16,
-        });
-        Ok(())
-    }
-
-    fn compute(&mut self, units: u64) {
-        if units > 0 {
-            self.trace.push(TraceOp::Compute(units));
-        }
-    }
-
-    fn copy(
-        &mut self,
-        dst_obj: usize,
-        dst_off: u64,
-        src_obj: usize,
-        src_off: u64,
-        len: u64,
-    ) -> Result<(), ExecFault> {
-        let src = self.layout.address(src_obj, src_off);
-        let dst = self.layout.address(dst_obj, dst_off);
-        self.check(src_obj, src, len, AccessKind::Read)?;
-        self.check(dst_obj, dst, len, AccessKind::Write)?;
-        let mut buf = vec![0u8; len as usize];
-        self.mem.read_bytes(src, &mut buf)?;
-        self.mem.write_bytes(dst, &buf)?;
-        self.trace.push(TraceOp::Copy {
-            src,
-            dst,
-            bytes: len,
-        });
-        Ok(())
-    }
-}
-
-impl fmt::Debug for CpuEngine<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("CpuEngine")
-            .field("task", &self.task)
-            .field("cheri", &self.caps.is_some())
-            .field("trace_len", &self.trace.len())
-            .finish()
+        })?;
+        Ok(addr)
     }
 }
 
@@ -364,7 +196,7 @@ mod tests {
     use super::*;
     use crate::checker::CapChecker;
     use crate::config::CheckerConfig;
-    use hetsim::Engine;
+    use hetsim::{Engine, MemEngine, TaggedMemory, TaskLayout};
 
     fn rw_cap(base: u64, len: u64) -> Capability {
         Capability::root()
@@ -381,19 +213,22 @@ mod tests {
         checker
             .grant(TaskId(1), ObjectId(0), &rw_cap(0x1000, 64))
             .unwrap();
-        let mut eng = ProtectedEngine::new(
+        let mut eng = MemEngine::gated(
             &mut mem,
-            &mut checker,
             TaskLayout::new([(0x1000, 64)]),
-            MasterId(1),
-            TaskId(1),
-            Provenance::PerObjectPorts,
+            Vet::new(
+                &mut checker,
+                MasterId(1),
+                TaskId(1),
+                Provenance::PerObjectPorts,
+                None,
+            ),
         );
         eng.store_u32(0, 0, 0x55).unwrap();
         assert_eq!(eng.load_u32(0, 0).unwrap(), 0x55);
         let err = eng.load_u32(0, 16); // offset 64: one past the end
         assert!(matches!(err, Err(ExecFault::Denied(_))));
-        assert!(eng.first_denial().is_some());
+        assert!(eng.gate().first_denial().is_some());
     }
 
     #[test]
@@ -406,13 +241,16 @@ mod tests {
             .unwrap();
         // The driver loads object-tagged base pointers.
         let tagged_base = cfg.coarse_tag_address(0, 0x1000);
-        let mut eng = ProtectedEngine::new(
+        let mut eng = MemEngine::gated(
             &mut mem,
-            &mut checker,
             TaskLayout::new([(tagged_base, 64)]),
-            MasterId(1),
-            TaskId(1),
-            Provenance::Opaque,
+            Vet::new(
+                &mut checker,
+                MasterId(1),
+                TaskId(1),
+                Provenance::Opaque,
+                None,
+            ),
         );
         eng.store_u32(0, 3, 0xabcd).unwrap();
         assert_eq!(eng.load_u32(0, 3).unwrap(), 0xabcd);
@@ -430,13 +268,16 @@ mod tests {
         checker
             .grant(TaskId(1), ObjectId(0), &rw_cap(0x1000, 64))
             .unwrap();
-        let mut eng = ProtectedEngine::new(
+        let mut eng = MemEngine::gated(
             &mut mem,
-            &mut checker,
             TaskLayout::new([(0x1000, 64)]),
-            MasterId(1),
-            TaskId(1),
-            Provenance::PerObjectPorts,
+            Vet::new(
+                &mut checker,
+                MasterId(1),
+                TaskId(1),
+                Provenance::PerObjectPorts,
+                None,
+            ),
         );
         eng.store_u8(0, 0, 0xff).unwrap();
         drop(eng);
@@ -447,16 +288,16 @@ mod tests {
     }
 
     #[test]
-    fn cpu_engine_checks_only_when_cheri() {
+    fn cap_regs_check_only_when_cheri() {
         let mut mem = TaggedMemory::new(1 << 16);
         let layout = TaskLayout::new([(0x1000, 64)]);
         // Plain CPU: out-of-bounds "works" (and corrupts).
-        let mut plain = CpuEngine::new(&mut mem, layout.clone(), None, TaskId(1));
+        let mut plain = MemEngine::gated(&mut mem, layout.clone(), CapRegs::new(None, TaskId(1)));
         plain.store_u8(0, 999, 1).unwrap();
         drop(plain);
         // CHERI CPU: same access faults.
         let caps = vec![rw_cap(0x1000, 64)];
-        let mut cheri = CpuEngine::new(&mut mem, layout, Some(caps), TaskId(1));
+        let mut cheri = MemEngine::gated(&mut mem, layout, CapRegs::new(Some(caps), TaskId(1)));
         assert!(matches!(
             cheri.store_u8(0, 999, 1),
             Err(ExecFault::Denied(_))
@@ -467,11 +308,10 @@ mod tests {
     #[test]
     fn traces_accumulate_across_ops() {
         let mut mem = TaggedMemory::new(1 << 16);
-        let mut eng = CpuEngine::new(
+        let mut eng = MemEngine::gated(
             &mut mem,
             TaskLayout::new([(0x100, 256), (0x200, 256)]),
-            None,
-            TaskId(1),
+            CapRegs::new(None, TaskId(1)),
         );
         eng.compute(4);
         eng.store_u64(0, 0, 1).unwrap();

@@ -75,16 +75,15 @@ pub use adapt::{
 };
 pub use alloc::{AllocError, HeapAllocator};
 pub use attrib::{CheckAttribution, CheckCounters};
-pub use checker::{CapChecker, CheckerSnapshot, CheckerStats};
+pub use checker::{CapChecker, CheckerSnapshot};
 pub use config::{CachedCheckerConfig, CheckerConfig, CheckerMode};
 pub use elide::{SegmentVerdicts, StaticVerdict, StaticVerdictMap, VerdictBitmap};
-pub use engines::{CpuEngine, ProtectedEngine, Provenance};
+pub use engines::{CapRegs, Provenance, Vet};
 pub use recovery::{
     run_campaign, CampaignConfig, CampaignReport, RecoveryOutcome, RecoveryPolicy, Resolution,
     TaskRecord, WatchdogEngine,
 };
 pub use revoke::{sweep_revoked, sweep_revoked_many, sweep_revoked_naive, SweepReport};
-pub use store::CacheStats;
 pub use system::{
     BufferSpec, DriverError, HeteroSystem, ProtectionChoice, SystemConfig, SystemVariant,
     TaskOutcome, TaskReport, TaskRequest,

@@ -60,7 +60,7 @@ use std::fmt;
 /// to the remaining budget and the next memory operation aborts with
 /// [`ExecFault::Hung`]. Layer it *below* the fault injector and *above*
 /// the protected engine (`kernel → FaultyEngine → WatchdogEngine →
-/// ProtectedEngine`) so injected hang spins trip it while rogue traffic
+/// MemEngine<Vet>`) so injected hang spins trip it while rogue traffic
 /// still reaches the protection path.
 pub struct WatchdogEngine<'e> {
     inner: &'e mut dyn Engine,
@@ -803,7 +803,7 @@ impl<'c> Campaign<'c> {
 /// accelerator path (default: the cache-backed CapChecker, so the
 /// degradation path is reachable) and `config.fus` engines. Every
 /// task draws one injection decision, runs the synthetic kernel under
-/// `kernel → FaultyEngine → WatchdogEngine → ProtectedEngine`, and is
+/// `kernel → FaultyEngine → WatchdogEngine → MemEngine<Vet>`, and is
 /// driven to exactly one [`Resolution`] by the retry loop.
 ///
 /// # Errors

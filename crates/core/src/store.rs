@@ -30,7 +30,7 @@ use hetsim::{Cycles, DenyReason, ObjectId, TaskId};
 use ioprotect::GrantError;
 use std::collections::HashMap;
 
-pub use obs::stats::CacheStats;
+use obs::stats::CacheStats;
 
 /// Where a checker's capabilities live. The set is closed: these are the
 /// two microarchitectures §5.2 describes.

@@ -21,11 +21,12 @@ use crate::alloc::{AllocError, HeapAllocator};
 use crate::checker::CapChecker;
 use crate::config::{CachedCheckerConfig, CheckerConfig, CheckerMode};
 use crate::elide::{SegmentVerdicts, StaticVerdictMap};
-use crate::engines::{CpuEngine, ProtectedEngine, Provenance};
+use crate::engines::{CapRegs, Provenance, Vet};
 use cheri::{compressed, Capability, CapabilityTree, NodeId, ObjectKind, Perms};
 use hetsim::mmio::RegisterFile;
 use hetsim::{
-    Cycles, Denial, Engine, ExecFault, MasterId, ObjectId, TaggedMemory, TaskId, TaskLayout, Trace,
+    Cycles, Denial, Engine, ExecFault, MasterId, MemEngine, ObjectId, TaggedMemory, TaskId,
+    TaskLayout, Trace,
 };
 use ioprotect::{
     GrantError, Granularity, IoProtection, Iommu, IommuConfig, Iopmp, IopmpConfig, NoProtection,
@@ -459,34 +460,6 @@ impl fmt::Debug for Protection {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Protection({})", self.as_dyn_ref().name())
     }
-}
-
-/// Runs one kernel through a [`ProtectedEngine`] over `protection`. The
-/// only caller passes `&mut dyn IoProtection`, so every beat's `vet` is a
-/// virtual call. Dispatching once per kernel to a copy monomorphized for
-/// the concrete protection type was measured, and it was slower.
-#[allow(clippy::too_many_arguments)]
-fn drive_kernel<P, F>(
-    mem: &mut TaggedMemory,
-    protection: &mut P,
-    layout: TaskLayout,
-    master: MasterId,
-    task: TaskId,
-    provenance: Provenance,
-    tracer: Option<SharedTracer>,
-    kernel: F,
-) -> (Result<(), ExecFault>, Option<Denial>, Trace)
-where
-    P: IoProtection + ?Sized,
-    F: FnOnce(&mut dyn Engine) -> Result<(), ExecFault>,
-{
-    let mut eng = ProtectedEngine::new(mem, protection, layout, master, task, provenance);
-    if let Some(t) = tracer {
-        eng = eng.with_tracer(t);
-    }
-    let result = kernel(&mut eng);
-    let denial = eng.first_denial();
-    (result, denial, eng.into_trace())
 }
 
 /// The assembled heterogeneous system: memory, CPU, FUs, protection, and
@@ -1059,37 +1032,34 @@ impl HeteroSystem {
             task: task.0,
             phase: Phase::Execute,
         });
-        let tracer = self.tracer.clone();
-        // The engine holds the protection as a trait object, so each DMA
+        // The gate holds the protection as a trait object, so each DMA
         // beat's vet (verdict-bitmap probe included) is one virtual call.
-        let (result, denial, trace) = drive_kernel(
-            &mut self.mem,
+        // A copy of the engine monomorphized per concrete mechanism was
+        // measured slower (instruction-cache pressure), so there is one.
+        let gate = Vet::new(
             self.protection.as_dyn(),
-            layout,
             master,
             task,
             provenance,
-            tracer,
-            kernel,
+            self.tracer.clone(),
         );
-        let st = self.tasks.get_mut(&task).expect("state verified above");
-        st.trace = Some(trace);
-        if let Some(d) = denial {
-            st.fault = Some(d);
-        }
-        match result {
-            Ok(()) | Err(ExecFault::Denied(_)) => Ok(TaskOutcome { denial }),
-            Err(ExecFault::Mem(e)) => Err(DriverError::Platform(e)),
-            Err(ExecFault::Hung { ops }) => Err(DriverError::WatchdogTimeout { task, ops }),
-            Err(ExecFault::Transient { kind }) => Err(DriverError::TransientFault(kind)),
-        }
+        let mut eng = MemEngine::gated(&mut self.mem, layout, gate);
+        let result = kernel(&mut eng);
+        let denial = eng.gate().first_denial();
+        let trace = eng.into_trace();
+        self.finish_run(task, result, denial, trace)
     }
 
-    /// Runs `kernel` on the CPU (the `cpu`/`ccpu` configurations).
+    /// Runs `kernel` on the CPU (the `cpu`/`ccpu` configurations). On a
+    /// CHERI CPU the task's own capabilities check every access.
     ///
     /// # Errors
     ///
-    /// [`DriverError::UnknownTask`] for dead handles.
+    /// [`DriverError::UnknownTask`] for dead handles;
+    /// [`DriverError::Platform`], [`DriverError::WatchdogTimeout`] or
+    /// [`DriverError::TransientFault`] when the kernel aborts on a fault,
+    /// as on the accelerator path. Capability faults are *not* errors
+    /// here: they are recorded in the returned [`TaskOutcome`].
     pub fn run_cpu_task<F>(&mut self, task: TaskId, kernel: F) -> Result<TaskOutcome, DriverError>
     where
         F: FnOnce(&mut dyn Engine) -> Result<(), ExecFault>,
@@ -1104,20 +1074,41 @@ impl HeteroSystem {
             .get(&task)
             .ok_or(DriverError::UnknownTask(task))?;
         let caps = self.config.cheri_cpu.then(|| st.caps.clone());
-        let mut eng = CpuEngine::new(&mut self.mem, layout, caps, task);
+        let mut eng = MemEngine::gated(&mut self.mem, layout, CapRegs::new(caps, task));
         let result = kernel(&mut eng);
         let trace = eng.into_trace();
-        let st = self.tasks.get_mut(&task).expect("state verified above");
+        let denial = match result {
+            Err(ExecFault::Denied(d)) => Some(d),
+            _ => None,
+        };
+        self.finish_run(task, result, denial, trace)
+    }
+
+    /// The tail both run paths share: keeps the trace, latches `denial`
+    /// as the task's fault, and reports how the kernel ended. A refused
+    /// access is an outcome; any other fault aborted the kernel part-way
+    /// and is an error, so a truncated trace is never taken for a
+    /// completed run.
+    fn finish_run(
+        &mut self,
+        task: TaskId,
+        result: Result<(), ExecFault>,
+        denial: Option<Denial>,
+        trace: Trace,
+    ) -> Result<TaskOutcome, DriverError> {
+        let st = self
+            .tasks
+            .get_mut(&task)
+            .ok_or(DriverError::UnknownTask(task))?;
         st.trace = Some(trace);
+        if let Some(d) = denial {
+            st.fault = Some(d);
+        }
         match result {
-            Ok(()) => Ok(TaskOutcome { denial: None }),
-            Err(ExecFault::Denied(d)) => {
-                st.fault = Some(d);
-                Ok(TaskOutcome { denial: Some(d) })
-            }
-            Err(ExecFault::Mem(_) | ExecFault::Hung { .. } | ExecFault::Transient { .. }) => {
-                Ok(TaskOutcome { denial: None })
-            }
+            Ok(()) | Err(ExecFault::Denied(_)) => Ok(TaskOutcome { denial }),
+            Err(ExecFault::Mem(e)) => Err(DriverError::Platform(e)),
+            Err(ExecFault::Hung { ops }) => Err(DriverError::WatchdogTimeout { task, ops }),
+            Err(ExecFault::Transient { kind }) => Err(DriverError::TransientFault(kind)),
         }
     }
 
@@ -1710,6 +1701,26 @@ mod tests {
             Ok(())
         });
         assert!(out.unwrap().denial.is_some());
+    }
+
+    #[test]
+    fn cpu_task_that_leaves_memory_is_not_completed() {
+        // A plain CPU checks nothing, so the stray load reaches the
+        // memory bound and aborts the kernel there: the driver must
+        // report the crash, as on the accelerator path, rather than a
+        // completed run over a truncated trace.
+        let mut sys = HeteroSystem::new(SystemVariant::Cpu.config());
+        let t = sys
+            .allocate_task(&TaskRequest::cpu("host").rw_buffers([64]))
+            .unwrap();
+        let out = sys.run_cpu_task(t, |eng| {
+            eng.store_u32(0, 0, 1)?;
+            eng.load(0, 1 << 40, 4)?;
+            eng.store_u32(0, 1, 2)?; // never reached
+            Ok(())
+        });
+        assert!(matches!(out, Err(DriverError::Platform(_))), "{out:?}");
+        assert_eq!(sys.trace(t).unwrap().map(Trace::len), Some(1));
     }
 
     #[test]

@@ -5,8 +5,13 @@
 //! accelerator behind the CapChecker or a baseline protection mechanism.
 //! An engine performs *functional* memory accesses (so protection faults
 //! really happen) and records a [`Trace`] for the timing models.
+//!
+//! Every target reaches memory through one engine, [`MemEngine`], and
+//! differs only in the [`Gate`] in front of it: [`Ungated`] here
+//! ([`DirectEngine`]), and the CPU's capability registers or the
+//! accelerator's protection mechanism in the `capchecker` crate.
 
-use crate::bus::Denial;
+use crate::bus::{AccessKind, Denial};
 use crate::memory::{MemError, TaggedMemory};
 use crate::trace::{Trace, TraceOp};
 use std::error::Error;
@@ -341,24 +346,76 @@ impl TaskLayout {
     }
 }
 
-/// The simplest engine: direct, unprotected access to memory, tracing as it
-/// goes. This is the *golden* executor (and what a CHERI-unaware system
-/// with no IOMMU does — every address is reachable).
+/// What stands between a kernel and memory: asked once per access (once
+/// per side of a bulk copy) before the engine touches memory.
+///
+/// A gate is the only thing that differs between the ways a kernel
+/// reaches memory — no check at all, the CHERI CPU's capability
+/// registers, or the accelerator DMA path's protection mechanism. The
+/// layout, the memory access, tag-clearing writes and the trace belong
+/// to [`MemEngine`].
+pub trait Gate {
+    /// Admits an access of `len` bytes at `addr` on object `obj`,
+    /// returning the physical address it reaches.
+    ///
+    /// # Errors
+    ///
+    /// [`ExecFault::Denied`] when the access is refused.
+    fn pass(&mut self, obj: usize, addr: u64, len: u64, kind: AccessKind)
+        -> Result<u64, ExecFault>;
+}
+
+/// The no-op gate: every address is reachable as is.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Ungated;
+
+impl Gate for Ungated {
+    #[inline]
+    fn pass(&mut self, _: usize, addr: u64, _: u64, _: AccessKind) -> Result<u64, ExecFault> {
+        Ok(addr)
+    }
+}
+
+/// The engine over [`TaggedMemory`]: each access resolves its object
+/// offset through the task's layout, passes the gate, touches memory and
+/// is recorded in the trace. Writes clear the capability tags they cover,
+/// so no data path can leave a valid capability behind.
 #[derive(Debug)]
-pub struct DirectEngine<'m> {
+pub struct MemEngine<'m, G> {
     mem: &'m mut TaggedMemory,
     layout: TaskLayout,
+    gate: G,
     trace: Trace,
 }
 
+/// The simplest engine: direct, unprotected access to memory, tracing as it
+/// goes. This is the *golden* executor (and what a CHERI-unaware system
+/// with no IOMMU does — every address is reachable).
+pub type DirectEngine<'m> = MemEngine<'m, Ungated>;
+
 impl<'m> DirectEngine<'m> {
-    /// Creates an engine over `mem` with the given object binding.
+    /// Creates an ungated engine over `mem` with the given object binding.
     pub fn new(mem: &'m mut TaggedMemory, layout: TaskLayout) -> DirectEngine<'m> {
-        DirectEngine {
+        MemEngine::gated(mem, layout, Ungated)
+    }
+}
+
+impl<'m, G: Gate> MemEngine<'m, G> {
+    /// Creates an engine over `mem` with the given object binding, every
+    /// access of which must pass `gate`.
+    pub fn gated(mem: &'m mut TaggedMemory, layout: TaskLayout, gate: G) -> MemEngine<'m, G> {
+        MemEngine {
             mem,
             layout,
+            gate,
             trace: Trace::new(),
         }
+    }
+
+    /// The gate in front of memory.
+    #[must_use]
+    pub fn gate(&self) -> &G {
+        &self.gate
     }
 
     /// The trace recorded so far.
@@ -372,14 +429,26 @@ impl<'m> DirectEngine<'m> {
     pub fn into_trace(self) -> Trace {
         self.trace
     }
+
+    #[inline]
+    fn pass(
+        &mut self,
+        obj: usize,
+        offset: u64,
+        len: u64,
+        kind: AccessKind,
+    ) -> Result<u64, ExecFault> {
+        let addr = self.layout.address(obj, offset);
+        self.gate.pass(obj, addr, len, kind)
+    }
 }
 
-impl Engine for DirectEngine<'_> {
+impl<G: Gate> Engine for MemEngine<'_, G> {
     crate::impl_typed_engine_helpers!();
 
     #[inline]
     fn load(&mut self, obj: usize, offset: u64, size: u8) -> Result<u64, ExecFault> {
-        let addr = self.layout.address(obj, offset);
+        let addr = self.pass(obj, offset, u64::from(size), AccessKind::Read)?;
         let v = self.mem.read_uint(addr, size)?;
         self.trace.push(TraceOp::Mem {
             addr,
@@ -392,7 +461,7 @@ impl Engine for DirectEngine<'_> {
 
     #[inline]
     fn store(&mut self, obj: usize, offset: u64, size: u8, value: u64) -> Result<(), ExecFault> {
-        let addr = self.layout.address(obj, offset);
+        let addr = self.pass(obj, offset, u64::from(size), AccessKind::Write)?;
         self.mem.write_uint(addr, size, value)?;
         self.trace.push(TraceOp::Mem {
             addr,
@@ -418,8 +487,8 @@ impl Engine for DirectEngine<'_> {
         src_off: u64,
         len: u64,
     ) -> Result<(), ExecFault> {
-        let src = self.layout.address(src_obj, src_off);
-        let dst = self.layout.address(dst_obj, dst_off);
+        let src = self.pass(src_obj, src_off, len, AccessKind::Read)?;
+        let dst = self.pass(dst_obj, dst_off, len, AccessKind::Write)?;
         let mut buf = vec![0u8; len as usize];
         self.mem.read_bytes(src, &mut buf)?;
         self.mem.write_bytes(dst, &buf)?;

@@ -229,7 +229,7 @@ impl FaultPlan {
 ///
 /// Layering matters: the injected traffic flows *down* through whatever
 /// this wrapper wraps. Stack a watchdog below it and above the protected
-/// engine (`kernel → FaultyEngine → WatchdogEngine → ProtectedEngine`) so
+/// engine (`kernel → FaultyEngine → WatchdogEngine → protected engine`) so
 /// hang/stall spins trip the watchdog and rogue stores hit the protection
 /// path. Without a watchdog below, a hang spin records its compute burst
 /// and execution simply continues — a hang in a system with no watchdog

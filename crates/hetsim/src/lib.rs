@@ -3,12 +3,14 @@
 //! The hardware the paper prototypes on an FPGA, rebuilt as an
 //! architectural simulator: tagged main memory ([`TaggedMemory`]),
 //! interconnect-level access descriptors ([`Access`], [`Denial`]), the
-//! kernel execution abstraction ([`Engine`], [`Trace`]), MMIO plumbing
+//! kernel execution abstraction ([`Engine`], [`Trace`]) and the one
+//! memory engine every target runs on ([`MemEngine`], behind a
+//! [`Gate`]), MMIO plumbing
 //! ([`mmio`]), and the CPU / accelerator timing models ([`timing`]).
 //!
 //! The crate is protection-agnostic: the CapChecker and the baseline
 //! mechanisms (IOMMU, IOPMP, sNPU-style) plug into the access path defined
-//! here.
+//! here as a [`Gate`].
 //!
 //! # Examples
 //!
@@ -52,7 +54,9 @@ mod trace;
 pub mod validate;
 
 pub use bus::{Access, AccessKind, BusFaultConfig, Denial, DenyReason};
-pub use engine::{BufferRegion, DirectEngine, Engine, ExecFault, TaskLayout};
+pub use engine::{
+    BufferRegion, DirectEngine, Engine, ExecFault, Gate, MemEngine, TaskLayout, Ungated,
+};
 pub use fault::{FaultKind, FaultPlan, FaultSpec, FaultyEngine, InjectedFault};
 pub use ids::{Cycles, FuId, MasterId, ObjectId, TaskId};
 pub use memory::{MemError, TaggedMemory};

@@ -30,7 +30,7 @@ struct PagePerms {
     write: bool,
 }
 
-pub use obs::stats::IotlbStats;
+use obs::stats::IotlbStats;
 
 /// An IOMMU: device accesses are checked (and notionally translated)
 /// against per-task page mappings.
