@@ -266,11 +266,12 @@ fn is_timing_path(file: &str) -> bool {
 /// simulated machine instead of latching a fault: the checker front end,
 /// its two capability stores, the elision bitmap, the memory engine and
 /// its gates, tagged memory, the trace, the baseline protection
-/// mechanisms, and the timing core — plus the run entry point every cell
-/// passes through, which reports a failed run as a typed error. Paths are relative to the repository
-/// root, and each must exist — a renamed file would otherwise drop out
-/// of the rule silently.
-pub const HOT_PATH_FILES: [&str; 15] = [
+/// mechanisms, the timing core, the bus fault model and the event tracer
+/// (both called on every grant or beat) — plus the run entry point every
+/// cell passes through, which reports a failed run as a typed error.
+/// Paths are relative to the repository root, and each must exist — a
+/// renamed file would otherwise drop out of the rule silently.
+pub const HOT_PATH_FILES: [&str; 17] = [
     "crates/core/src/checker.rs",
     "crates/core/src/store.rs",
     "crates/core/src/table.rs",
@@ -280,12 +281,14 @@ pub const HOT_PATH_FILES: [&str; 15] = [
     "crates/hetsim/src/memory.rs",
     "crates/hetsim/src/trace.rs",
     "crates/hetsim/src/timing.rs",
+    "crates/hetsim/src/bus.rs",
     "crates/ioprotect/src/lib.rs",
     "crates/ioprotect/src/none.rs",
     "crates/ioprotect/src/iopmp.rs",
     "crates/ioprotect/src/iommu.rs",
     "crates/ioprotect/src/snpu.rs",
     "crates/bench/src/runner.rs",
+    "crates/obs/src/tracer.rs",
 ];
 
 /// Whether `file` is on the per-access hot path ([`HOT_PATH_FILES`]).

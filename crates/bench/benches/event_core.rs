@@ -18,7 +18,8 @@
 //! Cores: `wheel` is the production event wheel
 //! ([`hetsim::timing::simulate_accel_system`]), `heap` the retained naive
 //! heap scheduler (`simulate_accel_system_naive` — CI's cross-check
-//! reference), `stepped` the cycle-accurate validator with its
+//! reference, which pops and re-pushes a lane for every memory op, with
+//! no fast path), `stepped` the cycle-accurate validator with its
 //! bulk-advance fast path ([`hetsim::validate`]).
 //!
 //! ```text

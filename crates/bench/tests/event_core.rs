@@ -1,9 +1,10 @@
 //! Event-wheel timing core pinned against the retained naive heap core.
 //!
-//! The production `simulate_accel_system` runs on the pre-folded
-//! event-wheel arena; `simulate_accel_system_naive` is the original
-//! heap-scheduled implementation, kept public precisely so this suite and
-//! CI can diff the two. The contract is *cycle-for-cycle equality* — not
+//! The production `simulate_accel_system` runs on the event-wheel arena,
+//! folded in one pass in trace order; `simulate_accel_system_naive` is
+//! the original heap-scheduled implementation in its plainest form
+//! (every memory op pops and re-enters the heap), kept public precisely
+//! so this suite and CI can diff the two. The contract is *cycle-for-cycle equality* — not
 //! "close": per-task completion cycles, makespan, bus beats, and
 //! utilization must be identical on every MachSuite kernel, under bus
 //! faults, and for staggered multi-task mixes. Any wheel event that was

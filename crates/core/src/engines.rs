@@ -37,7 +37,6 @@ pub struct Vet<'a> {
     master: MasterId,
     task: TaskId,
     provenance: Provenance,
-    first_denial: Option<Denial>,
     /// Optional event sink; check events are stamped with the request
     /// index (the functional path has no cycle clock of its own).
     tracer: Option<SharedTracer>,
@@ -64,16 +63,9 @@ impl<'a> Vet<'a> {
             master,
             task,
             provenance,
-            first_denial: None,
             tracer,
             requests: 0,
         }
-    }
-
-    /// The first refused access, if any (the latched exception).
-    #[must_use]
-    pub fn first_denial(&self) -> Option<Denial> {
-        self.first_denial
     }
 }
 
@@ -123,10 +115,7 @@ impl Gate for Vet<'_> {
             }
         }
         self.requests += 1;
-        verdict.map_err(|denial| {
-            self.first_denial.get_or_insert(denial);
-            ExecFault::Denied(denial)
-        })
+        verdict.map_err(ExecFault::Denied)
     }
 }
 
@@ -228,7 +217,7 @@ mod tests {
         assert_eq!(eng.load_u32(0, 0).unwrap(), 0x55);
         let err = eng.load_u32(0, 16); // offset 64: one past the end
         assert!(matches!(err, Err(ExecFault::Denied(_))));
-        assert!(eng.gate().first_denial().is_some());
+        assert!(eng.first_denial().is_some());
     }
 
     #[test]

@@ -29,8 +29,7 @@ use hetsim::{
     TaskLayout, Trace,
 };
 use ioprotect::{
-    GrantError, Granularity, IoProtection, Iommu, IommuConfig, Iopmp, IopmpConfig, NoProtection,
-    Snpu,
+    GrantError, IoProtection, Iommu, IommuConfig, Iopmp, IopmpConfig, NoProtection, Snpu,
 };
 use obs::{EventKind, FaultKind, Phase, Registry, SharedTracer, Tracer};
 use std::collections::BTreeMap;
@@ -1045,7 +1044,7 @@ impl HeteroSystem {
         );
         let mut eng = MemEngine::gated(&mut self.mem, layout, gate);
         let result = kernel(&mut eng);
-        let denial = eng.gate().first_denial();
+        let denial = eng.first_denial();
         let trace = eng.into_trace();
         self.finish_run(task, result, denial, trace)
     }
@@ -1076,11 +1075,8 @@ impl HeteroSystem {
         let caps = self.config.cheri_cpu.then(|| st.caps.clone());
         let mut eng = MemEngine::gated(&mut self.mem, layout, CapRegs::new(caps, task));
         let result = kernel(&mut eng);
+        let denial = eng.first_denial();
         let trace = eng.into_trace();
-        let denial = match result {
-            Err(ExecFault::Denied(d)) => Some(d),
-            _ => None,
-        };
         self.finish_run(task, result, denial, trace)
     }
 
@@ -1366,12 +1362,6 @@ impl HeteroSystem {
     #[must_use]
     pub fn protection_entries(&self) -> usize {
         self.protection.as_dyn_ref().entries_in_use()
-    }
-
-    /// The protection granularity of this system's accelerator path.
-    #[must_use]
-    pub fn protection_granularity(&self) -> Granularity {
-        self.protection.as_dyn_ref().granularity()
     }
 
     /// Exports the system's counters into a metrics registry: checker
@@ -1721,6 +1711,36 @@ mod tests {
         });
         assert!(matches!(out, Err(DriverError::Platform(_))), "{out:?}");
         assert_eq!(sys.trace(t).unwrap().map(Trace::len), Some(1));
+    }
+
+    #[test]
+    fn swallowed_denial_is_latched_on_cpu_and_accelerator() {
+        // The kernel drops the refused store's error and returns Ok: the
+        // CHERI CPU and the CapChecker must both still report the fault.
+        let kernel = |eng: &mut dyn Engine| {
+            let _ = eng.store_u32(0, 1000, 1);
+            Ok(())
+        };
+        for variant in [SystemVariant::CheriCpu, SystemVariant::CheriCpuCheriAccel] {
+            let accel = variant == SystemVariant::CheriCpuCheriAccel;
+            let mut sys = HeteroSystem::new(variant.config());
+            let request = if accel {
+                sys.add_fus("fft", 1);
+                TaskRequest::accel("fft0", "fft")
+            } else {
+                TaskRequest::cpu("host")
+            };
+            let t = sys.allocate_task(&request.rw_buffers([64])).unwrap();
+            let out = if accel {
+                sys.run_accel_task(t, kernel)
+            } else {
+                sys.run_cpu_task(t, kernel)
+            }
+            .unwrap();
+            assert!(!out.completed(), "{variant:?}: denial forgotten");
+            let report = sys.deallocate_task(t).unwrap();
+            assert!(report.exception.is_some(), "{variant:?}: {report:?}");
+        }
     }
 
     #[test]

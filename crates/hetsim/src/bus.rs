@@ -35,12 +35,6 @@ impl BusFaultConfig {
         BusFaultConfig::default()
     }
 
-    /// `true` when any fault is armed.
-    #[must_use]
-    pub fn is_armed(&self) -> bool {
-        self.stall_every > 0 || self.drop_every > 0
-    }
-
     /// Whether grant number `n` (1-based) is stalled, and for how long.
     #[must_use]
     pub fn stall_for(&self, n: u64) -> u64 {

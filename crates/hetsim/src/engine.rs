@@ -379,13 +379,16 @@ impl Gate for Ungated {
 /// The engine over [`TaggedMemory`]: each access resolves its object
 /// offset through the task's layout, passes the gate, touches memory and
 /// is recorded in the trace. Writes clear the capability tags they cover,
-/// so no data path can leave a valid capability behind.
+/// so no data path can leave a valid capability behind. The first access
+/// any gate refuses is latched, so a kernel that swallows the fault is
+/// still reported denied.
 #[derive(Debug)]
 pub struct MemEngine<'m, G> {
     mem: &'m mut TaggedMemory,
     layout: TaskLayout,
     gate: G,
     trace: Trace,
+    first_denial: Option<Denial>,
 }
 
 /// The simplest engine: direct, unprotected access to memory, tracing as it
@@ -409,13 +412,15 @@ impl<'m, G: Gate> MemEngine<'m, G> {
             layout,
             gate,
             trace: Trace::new(),
+            first_denial: None,
         }
     }
 
-    /// The gate in front of memory.
+    /// The first access the gate refused, if any (the latched exception),
+    /// whether or not the kernel propagated the fault.
     #[must_use]
-    pub fn gate(&self) -> &G {
-        &self.gate
+    pub fn first_denial(&self) -> Option<Denial> {
+        self.first_denial
     }
 
     /// The trace recorded so far.
@@ -439,7 +444,11 @@ impl<'m, G: Gate> MemEngine<'m, G> {
         kind: AccessKind,
     ) -> Result<u64, ExecFault> {
         let addr = self.layout.address(obj, offset);
-        self.gate.pass(obj, addr, len, kind)
+        self.gate.pass(obj, addr, len, kind).inspect_err(|fault| {
+            if let ExecFault::Denied(denial) = fault {
+                self.first_denial.get_or_insert(*denial);
+            }
+        })
     }
 }
 

@@ -405,16 +405,19 @@ struct Lane {
     cfg: AccelTimingConfig,
 }
 
-/// A totally ordered f64 for the event heap (times are never NaN).
-#[derive(Clone, Copy, PartialEq, PartialOrd)]
+/// A totally ordered f64 for the event heap. Times are finite and
+/// non-negative, where `==` and `total_cmp` agree.
+#[derive(Clone, Copy, PartialEq)]
 struct Time(f64);
 impl Eq for Time {}
-#[allow(clippy::derive_ord_xor_partial_ord)]
+impl PartialOrd for Time {
+    fn partial_cmp(&self, other: &Time) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
 impl Ord for Time {
     fn cmp(&self, other: &Time) -> std::cmp::Ordering {
-        self.partial_cmp(other)
-            // lint: allow(panic-in-hot-path) — Time is built from finite sums
-            .expect("simulation times are never NaN")
+        self.0.total_cmp(&other.0)
     }
 }
 
@@ -515,21 +518,22 @@ pub fn simulate_accel_system_prof(
 /// operands, so hoisting it out of the wheel loop cannot change a bit
 /// (zero units fold to `+0.0`, and `t + 0.0 == t` for the non-negative
 /// times the wheel advances).
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug)]
 struct LaneEntry {
     pre_cycles: f64,
     base_beats: u64,
 }
 
 /// Per-lane cursor state of the event wheel. The whole struct is plain
-/// scalars: entries live in one shared arena (sequential reads), and the
-/// outstanding-request window is a fixed ring in a second arena instead
-/// of a `VecDeque` per lane.
+/// scalars: entries live in one shared arena in trace order, a lane's
+/// entries `stride` apart, and the outstanding-request window is a fixed
+/// ring in a second arena instead of a `VecDeque` per lane.
 #[derive(Clone, Copy, Debug)]
 struct WheelLane {
     task: u32,
     cursor: usize,
     end: usize,
+    stride: u32,
     tail_units: u64,
     cpc: f64,
     window: u32,
@@ -541,9 +545,6 @@ struct WheelLane {
 struct Wheel {
     entries: Vec<LaneEntry>,
     lanes: Vec<WheelLane>,
-    /// Start time per lane (its task's start); the run loop queues later
-    /// event times itself.
-    when: Vec<f64>,
     ring: Vec<f64>,
 }
 
@@ -572,48 +573,26 @@ impl Drop for Wheel {
     }
 }
 
-/// Folds every task's trace into the wheel's compact per-lane arrays —
-/// the lazy-cursor equivalent of [`distribute_over_lanes`] (same lane
-/// numbering, same round-robin, same compute coalescing), minus the
-/// per-lane `Vec<TraceOp>` materialization.
+/// Folds every task's trace into the wheel's entry arena in one pass, in
+/// trace order — the lazy-cursor equivalent of [`distribute_over_lanes`]
+/// (same lane numbering, same round-robin, same compute coalescing),
+/// minus the per-lane `Vec<TraceOp>` materialization. A task's mem op `i`
+/// is entry `base + i` and belongs to lane `i mod n`, so lane `j` walks
+/// `base + j, base + j + n, …` up to the task's last entry.
 fn build_wheel(tasks: &[AccelTask<'_>], bus: &BusConfig) -> Wheel {
     let mut lanes: Vec<WheelLane> = Vec::new();
-    let mut when: Vec<f64> = Vec::new();
-    let mut total_entries = 0usize;
     let mut total_ring = 0usize;
-    for (t_idx, task) in tasks.iter().enumerate() {
-        let n = task.cfg.lanes.max(1) as usize;
-        let mem_ops = task.trace.mem_ops() as usize;
-        let window = task.cfg.outstanding.max(1) as usize;
-        for j in 0..n {
-            // Round-robin: lane j owns mem ops j, j+n, j+2n, …
-            let count = mem_ops / n + usize::from(j < mem_ops % n);
-            lanes.push(WheelLane {
-                task: t_idx as u32,
-                cursor: total_entries,
-                end: total_entries + count,
-                tail_units: 0,
-                cpc: task.cfg.compute_per_cycle.max(1e-9),
-                window: window as u32,
-                ring_start: total_ring,
-                ring_head: 0,
-                ring_len: 0,
-            });
-            when.push(task.start as f64);
-            total_entries += count;
-            total_ring += window;
-        }
-    }
     let mut entries = ENTRY_POOL.with(|pool| std::mem::take(&mut *pool.borrow_mut()));
     entries.clear();
-    entries.resize(total_entries, LaneEntry::default());
-    let mut lane_base = 0usize;
-    for task in tasks {
+    // A trace's length counts its compute runs too, so it bounds its mem
+    // ops from above: one reserve, no growth copies while folding.
+    entries.reserve(tasks.iter().map(|t| t.trace.len()).sum());
+    for (t_idx, task) in tasks.iter().enumerate() {
         let n = task.cfg.lanes.max(1) as usize;
         let cpc = task.cfg.compute_per_cycle.max(1e-9);
+        let window = task.cfg.outstanding.max(1);
+        let base = entries.len();
         let mut pending: Vec<u64> = vec![0; n];
-        let mut cursors: Vec<usize> = (0..n).map(|j| lanes[lane_base + j].cursor).collect();
-        let mut mem_rr = 0usize;
         for op in task.trace.ops() {
             let beats = match *op {
                 TraceOp::Compute(units) => {
@@ -629,28 +608,37 @@ fn build_wheel(tasks: &[AccelTask<'_>], bus: &BusConfig) -> Wheel {
                 TraceOp::Mem { bytes, .. } => bus.beats(u64::from(bytes)),
                 TraceOp::Copy { bytes, .. } => 2 * bus.beats(bytes),
             };
-            let j = mem_rr % n;
-            entries[cursors[j]] = LaneEntry {
+            let j = (entries.len() - base) % n;
+            entries.push(LaneEntry {
                 pre_cycles: if pending[j] != 0 {
                     pending[j] as f64 / cpc
                 } else {
                     0.0
                 },
                 base_beats: beats,
-            };
-            cursors[j] += 1;
+            });
             pending[j] = 0;
-            mem_rr += 1;
         }
-        for (j, p) in pending.into_iter().enumerate() {
-            lanes[lane_base + j].tail_units = p;
+        let end = entries.len();
+        for (j, tail_units) in pending.into_iter().enumerate() {
+            lanes.push(WheelLane {
+                task: t_idx as u32,
+                cursor: base + j,
+                end,
+                stride: n as u32,
+                tail_units,
+                cpc,
+                window,
+                ring_start: total_ring,
+                ring_head: 0,
+                ring_len: 0,
+            });
+            total_ring += window as usize;
         }
-        lane_base += n;
     }
     Wheel {
         entries,
         lanes,
-        when,
         ring: vec![0.0; total_ring],
     }
 }
@@ -671,12 +659,7 @@ fn run_wheel<const TRACING: bool, const PROFILING: bool>(
     let mut bus_beats = 0u64;
     let mut grants = 0u64;
     let mut per_task: Vec<Cycles> = tasks.iter().map(|t| t.start).collect();
-
-    if TRACING {
-        for (t_idx, task) in tasks.iter().enumerate() {
-            tracer.record(task.start, EventKind::TaskStart { task: t_idx as u32 });
-        }
-    }
+    record_starts(tasks, tracer);
 
     // FCFS arbitration in the order the reference heap's `(Time, usize)`
     // keys pop, from two queues instead of a priority queue. A granted
@@ -688,7 +671,12 @@ fn run_wheel<const TRACING: bool, const PROFILING: bool>(
     // times and are sorted once, by (start, lane) — the sort is stable.
     // The next lane is the smaller (time, lane) of the two heads, and a
     // finished lane is simply not queued again.
-    let mut fresh: Vec<(f64, usize)> = wheel.when.iter().copied().zip(0..).collect();
+    let mut fresh: Vec<(f64, usize)> = wheel
+        .lanes
+        .iter()
+        .map(|lane| tasks[lane.task as usize].start as f64)
+        .zip(0..)
+        .collect();
     fresh.sort_by(|a, b| a.0.total_cmp(&b.0));
     let mut fresh = fresh.into_iter().peekable();
     let mut served: VecDeque<(f64, usize)> = VecDeque::with_capacity(wheel.lanes.len());
@@ -702,7 +690,7 @@ fn run_wheel<const TRACING: bool, const PROFILING: bool>(
         let mut lane = wheel.lanes[li];
         let task_idx = lane.task as usize;
         let window = lane.window as usize;
-        if lane.cursor == lane.end {
+        if lane.cursor >= lane.end {
             // Lane finished issuing: retire its tail compute, then wait
             // for its in-flight requests.
             if lane.tail_units != 0 {
@@ -719,7 +707,7 @@ fn run_wheel<const TRACING: bool, const PROFILING: bool>(
             continue;
         }
         let e = wheel.entries[lane.cursor];
-        lane.cursor += 1;
+        lane.cursor += lane.stride as usize;
         t += e.pre_cycles;
         let mut beats = e.base_beats;
         grants += 1;
@@ -766,8 +754,29 @@ fn run_wheel<const TRACING: bool, const PROFILING: bool>(
         );
         served.push_back((bus_free, li));
     }
+    close_run(tasks, per_task, bus_beats, tracer, prof)
+}
 
-    if TRACING {
+/// Opens a run on `tracer`: every task's start, in task order.
+fn record_starts(tasks: &[AccelTask<'_>], tracer: &mut dyn Tracer) {
+    if tracer.enabled() {
+        for (t_idx, task) in tasks.iter().enumerate() {
+            tracer.record(task.start, EventKind::TaskStart { task: t_idx as u32 });
+        }
+    }
+}
+
+/// Closes a run that finished each task at `per_task` after moving
+/// `bus_beats`: records every task's end on `tracer`, attributes the
+/// makespan to `prof`'s spans, and builds the report.
+fn close_run(
+    tasks: &[AccelTask<'_>],
+    per_task: Vec<Cycles>,
+    bus_beats: u64,
+    tracer: &mut dyn Tracer,
+    prof: &mut dyn Profiler,
+) -> AccelReport {
+    if tracer.enabled() {
         for (t_idx, done) in per_task.iter().enumerate() {
             tracer.record(*done, EventKind::TaskEnd { task: t_idx as u32 });
         }
@@ -775,7 +784,7 @@ fn run_wheel<const TRACING: bool, const PROFILING: bool>(
 
     let makespan = per_task.iter().copied().max().unwrap_or(0);
 
-    if PROFILING {
+    if prof.enabled() {
         for (t_idx, done) in per_task.iter().enumerate() {
             prof.observe("accel.task_cycles", done.saturating_sub(tasks[t_idx].start));
         }
@@ -813,7 +822,8 @@ fn run_wheel<const TRACING: bool, const PROFILING: bool>(
 }
 
 /// The retained stepping reference: the per-lane `Vec<TraceOp>`
-/// materialization and binary-heap scheduler the event wheel replaced.
+/// materialization and binary-heap scheduler the event wheel replaced,
+/// with every memory op popped from and pushed back into the heap.
 /// Kept callable (not test-only) because the CI perf-smoke job and the
 /// conformance tests pin [`simulate_accel_system`] against it
 /// cycle-for-cycle — the wheel performs the same floating-point
@@ -824,8 +834,8 @@ pub fn simulate_accel_system_naive(tasks: &[AccelTask<'_>], bus: &BusConfig) -> 
 }
 
 /// [`simulate_accel_system_naive`] with the same tracer/profiler hooks as
-/// the wheel — the full pre-wheel implementation, verbatim, so the
-/// observed paths can be pinned too (`tests/wheel_props.rs` does).
+/// the wheel, so the observed paths can be pinned too
+/// (`tests/wheel_props.rs` does).
 #[must_use]
 pub fn simulate_accel_system_naive_prof(
     tasks: &[AccelTask<'_>],
@@ -833,7 +843,6 @@ pub fn simulate_accel_system_naive_prof(
     tracer: &mut dyn Tracer,
     prof: &mut dyn Profiler,
 ) -> AccelReport {
-    let profiling = prof.enabled();
     let mut lanes: Vec<Lane> = Vec::new();
     for (t_idx, task) in tasks.iter().enumerate() {
         let n = task.cfg.lanes.max(1) as usize;
@@ -854,12 +863,7 @@ pub fn simulate_accel_system_naive_prof(
     let mut bus_beats = 0u64;
     let mut grants = 0u64;
     let mut per_task: Vec<Cycles> = tasks.iter().map(|t| t.start).collect();
-
-    if tracer.enabled() {
-        for (t_idx, task) in tasks.iter().enumerate() {
-            tracer.record(task.start, EventKind::TaskStart { task: t_idx as u32 });
-        }
-    }
+    record_starts(tasks, tracer);
 
     let mut heap: BinaryHeap<Reverse<(Time, usize)>> = lanes
         .iter()
@@ -868,127 +872,62 @@ pub fn simulate_accel_system_naive_prof(
         .collect();
 
     while let Some(Reverse((_, li))) = heap.pop() {
-        // Once popped, a lane keeps running inline for as long as no other
-        // lane is scheduled earlier (heap-bypass fast path below).
-        loop {
-            let lane = &mut lanes[li];
-            // Retire any compute leading up to the next memory operation.
-            while let Some(TraceOp::Compute(units)) = lane.ops.get(lane.next) {
-                lane.time += *units as f64 / lane.cfg.compute_per_cycle.max(1e-9);
-                lane.next += 1;
+        let lane = &mut lanes[li];
+        // Retire any compute leading up to the next memory operation.
+        while let Some(TraceOp::Compute(units)) = lane.ops.get(lane.next) {
+            lane.time += *units as f64 / lane.cfg.compute_per_cycle.max(1e-9);
+            lane.next += 1;
+        }
+        let mut beats = match lane.ops.get(lane.next) {
+            Some(TraceOp::Mem { bytes, .. }) => bus.beats(u64::from(*bytes)),
+            Some(TraceOp::Copy { bytes, .. }) => 2 * bus.beats(*bytes),
+            _ => {
+                // Lane finished issuing: wait for its in-flight requests.
+                let drain = lane.inflight.back().copied().unwrap_or(lane.time);
+                let done = lane.time.max(drain).ceil() as Cycles;
+                per_task[lane.task] = per_task[lane.task].max(done);
+                continue;
             }
-            match lane.ops.get(lane.next) {
-                None => {
-                    // Lane finished issuing: wait for its in-flight requests.
-                    let drain = lane.inflight.back().copied().unwrap_or(lane.time);
-                    let done = lane.time.max(drain).ceil() as Cycles;
-                    per_task[lane.task] = per_task[lane.task].max(done);
-                    break;
-                }
-                Some(&op) => {
-                    let mut beats = match op {
-                        TraceOp::Mem { bytes, .. } => bus.beats(u64::from(bytes)),
-                        TraceOp::Copy { bytes, .. } => 2 * bus.beats(bytes),
-                        TraceOp::Compute(_) => unreachable!("compute handled above"),
-                    };
-                    lane.next += 1;
-                    grants += 1;
-                    // Interconnect faults: a dropped transfer retransmits
-                    // (double occupancy); a stalled grant waits out the
-                    // arbiter. Both are counter-periodic, so reproducible.
-                    if bus.faults.drops(grants) {
-                        beats *= 2;
-                    }
-                    let stall = bus.faults.stall_for(grants) as f64;
-                    let window = lane.cfg.outstanding.max(1) as usize;
-                    let mut ready = lane.time;
-                    if lane.inflight.len() >= window {
-                        // lint: allow(panic-in-hot-path) — len >= window >= 1
-                        ready = ready.max(lane.inflight.pop_front().expect("nonempty window"));
-                    }
-                    let grant = ready.max(bus_free) + stall;
-                    if tracer.enabled() {
-                        tracer.record(
-                            grant as u64,
-                            EventKind::BusGrant {
-                                lane: li as u32,
-                                task: lane.task as u32,
-                                beats,
-                                waited: (grant - ready) as u64,
-                            },
-                        );
-                    }
-                    if profiling {
-                        prof.observe("accel.req_wait", (grant - ready) as u64);
-                        prof.observe("accel.req_beats", beats);
-                    }
-                    bus_free = grant + beats as f64;
-                    bus_beats += beats;
-                    lane.inflight.push_back(grant + beats as f64 + latency);
-                    lane.time = grant + beats as f64;
-                    // Heap-bypass fast path: keys are unique ((time, lane)
-                    // with each lane in the heap at most once), so when
-                    // this lane's new key is smaller than the heap minimum
-                    // — or the heap is empty — a push followed by a pop
-                    // would hand the very same lane straight back.
-                    // Continue it inline instead of paying two heap
-                    // operations per contention-free memory op.
-                    let key = (Time(lane.time), li);
-                    match heap.peek() {
-                        Some(Reverse(min)) if *min < key => {
-                            heap.push(Reverse(key));
-                            break;
-                        }
-                        _ => {}
-                    }
-                }
+        };
+        lane.next += 1;
+        grants += 1;
+        // Interconnect faults: a dropped transfer retransmits (double
+        // occupancy); a stalled grant waits out the arbiter. Both are
+        // counter-periodic, so reproducible.
+        if bus.faults.drops(grants) {
+            beats *= 2;
+        }
+        let stall = bus.faults.stall_for(grants) as f64;
+        let window = lane.cfg.outstanding.max(1) as usize;
+        let mut ready = lane.time;
+        if lane.inflight.len() >= window {
+            if let Some(oldest) = lane.inflight.pop_front() {
+                ready = ready.max(oldest);
             }
         }
-    }
-
-    if tracer.enabled() {
-        for (t_idx, done) in per_task.iter().enumerate() {
-            tracer.record(*done, EventKind::TaskEnd { task: t_idx as u32 });
+        let grant = ready.max(bus_free) + stall;
+        if tracer.enabled() {
+            tracer.record(
+                grant as u64,
+                EventKind::BusGrant {
+                    lane: li as u32,
+                    task: lane.task as u32,
+                    beats,
+                    waited: (grant - ready) as u64,
+                },
+            );
         }
-    }
-
-    let makespan = per_task.iter().copied().max().unwrap_or(0);
-
-    if profiling {
-        for (t_idx, done) in per_task.iter().enumerate() {
-            prof.observe("accel.task_cycles", done.saturating_sub(tasks[t_idx].start));
+        if prof.enabled() {
+            prof.observe("accel.req_wait", (grant - ready) as u64);
+            prof.observe("accel.req_beats", beats);
         }
-        let setup = tasks.iter().map(|t| t.start).min().unwrap_or(0);
-        let execute = makespan.saturating_sub(setup);
-        // Every beat occupies a distinct cycle on the single port, and no
-        // grant precedes the earliest start, so busy ≤ execute holds; the
-        // min is belt-and-braces against a saturated fault model.
-        let busy = bus_beats.min(execute);
-        prof.enter("accel");
-        prof.enter("setup");
-        prof.add_cycles(setup);
-        prof.exit();
-        prof.enter("execute");
-        prof.enter("bus_busy");
-        prof.add_cycles(busy);
-        prof.exit();
-        prof.enter("bus_idle");
-        prof.add_cycles(execute - busy);
-        prof.exit();
-        prof.exit();
-        prof.exit();
+        bus_free = grant + beats as f64;
+        bus_beats += beats;
+        lane.inflight.push_back(grant + beats as f64 + latency);
+        lane.time = grant + beats as f64;
+        heap.push(Reverse((Time(lane.time), li)));
     }
-
-    AccelReport {
-        per_task,
-        makespan,
-        bus_beats,
-        bus_utilization: if makespan == 0 {
-            0.0
-        } else {
-            bus_beats as f64 / makespan as f64
-        },
-    }
+    close_run(tasks, per_task, bus_beats, tracer, prof)
 }
 
 #[cfg(test)]
@@ -1266,87 +1205,8 @@ mod tests {
         }
     }
 
-    /// The pre-bypass event loop, kept verbatim: every memory op pays a
-    /// heap push + pop. The shipping loop's heap bypass must be
-    /// cycle-for-cycle identical to this.
-    fn simulate_accel_naive(tasks: &[AccelTask<'_>], bus: &BusConfig) -> AccelReport {
-        let mut lanes: Vec<Lane> = Vec::new();
-        for (t_idx, task) in tasks.iter().enumerate() {
-            let n = task.cfg.lanes.max(1) as usize;
-            for ops in distribute_over_lanes(task.trace, n) {
-                lanes.push(Lane {
-                    task: t_idx,
-                    ops,
-                    next: 0,
-                    time: task.start as f64,
-                    inflight: VecDeque::new(),
-                    cfg: task.cfg,
-                });
-            }
-        }
-        let latency = (bus.mem_latency + bus.checker_latency) as f64;
-        let mut bus_free = 0.0f64;
-        let mut bus_beats = 0u64;
-        let mut grants = 0u64;
-        let mut per_task: Vec<Cycles> = tasks.iter().map(|t| t.start).collect();
-        let mut heap: BinaryHeap<Reverse<(Time, usize)>> = lanes
-            .iter()
-            .enumerate()
-            .map(|(i, l)| Reverse((Time(l.time), i)))
-            .collect();
-        while let Some(Reverse((_, li))) = heap.pop() {
-            let lane = &mut lanes[li];
-            while let Some(TraceOp::Compute(units)) = lane.ops.get(lane.next) {
-                lane.time += *units as f64 / lane.cfg.compute_per_cycle.max(1e-9);
-                lane.next += 1;
-            }
-            match lane.ops.get(lane.next) {
-                None => {
-                    let drain = lane.inflight.back().copied().unwrap_or(lane.time);
-                    let done = lane.time.max(drain).ceil() as Cycles;
-                    per_task[lane.task] = per_task[lane.task].max(done);
-                }
-                Some(&op) => {
-                    let mut beats = match op {
-                        TraceOp::Mem { bytes, .. } => bus.beats(u64::from(bytes)),
-                        TraceOp::Copy { bytes, .. } => 2 * bus.beats(bytes),
-                        TraceOp::Compute(_) => unreachable!("compute handled above"),
-                    };
-                    lane.next += 1;
-                    grants += 1;
-                    if bus.faults.drops(grants) {
-                        beats *= 2;
-                    }
-                    let stall = bus.faults.stall_for(grants) as f64;
-                    let window = lane.cfg.outstanding.max(1) as usize;
-                    let mut ready = lane.time;
-                    if lane.inflight.len() >= window {
-                        ready = ready.max(lane.inflight.pop_front().expect("nonempty window"));
-                    }
-                    let grant = ready.max(bus_free) + stall;
-                    bus_free = grant + beats as f64;
-                    bus_beats += beats;
-                    lane.inflight.push_back(grant + beats as f64 + latency);
-                    lane.time = grant + beats as f64;
-                    heap.push(Reverse((Time(lane.time), li)));
-                }
-            }
-        }
-        let makespan = per_task.iter().copied().max().unwrap_or(0);
-        AccelReport {
-            per_task,
-            makespan,
-            bus_beats,
-            bus_utilization: if makespan == 0 {
-                0.0
-            } else {
-                bus_beats as f64 / makespan as f64
-            },
-        }
-    }
-
     #[test]
-    fn heap_bypass_is_cycle_for_cycle_identical_to_naive_loop() {
+    fn wheel_is_cycle_for_cycle_identical_to_heap_reference() {
         let single = mem_heavy_trace();
         let mixed: Trace = (0..2_000u64)
             .flat_map(|i| {
@@ -1401,8 +1261,8 @@ mod tests {
         for (tasks, bus) in systems {
             assert_eq!(
                 simulate_accel_system(&tasks, &bus),
-                simulate_accel_naive(&tasks, &bus),
-                "bypass diverged on a {}-task system",
+                simulate_accel_system_naive(&tasks, &bus),
+                "wheel diverged from the heap on a {}-task system",
                 tasks.len()
             );
         }

@@ -40,12 +40,14 @@ pub enum TraceOp {
 }
 
 /// An append-only operation trace with consecutive-compute coalescing.
+///
+/// The trace stores its ops and nothing else: the summaries
+/// ([`Trace::mem_ops`], [`Trace::compute_units`], [`Trace::mem_bytes`])
+/// walk the ops on each call, and the accelerator timing core sizes its
+/// arena from [`Trace::len`], which bounds the memory ops from above.
 #[derive(Clone, Debug, Default)]
 pub struct Trace {
     ops: Vec<TraceOp>,
-    /// Non-compute ops, maintained on push so [`Trace::mem_ops`] is O(1)
-    /// (the timing cores size their per-lane arrays from it).
-    mem_op_count: u64,
 }
 
 // Retired trace buffers, recycled by [`Trace::new`]. Kernel traces run to
@@ -73,10 +75,7 @@ impl Trace {
             .with(|pool| pool.borrow_mut().pop())
             .unwrap_or_default();
         debug_assert!(ops.is_empty(), "pooled buffers are cleared on retire");
-        Trace {
-            ops,
-            mem_op_count: 0,
-        }
+        Trace { ops }
     }
 
     /// Appends an operation, merging consecutive [`TraceOp::Compute`] runs.
@@ -87,8 +86,6 @@ impl Trace {
                 *prev += units;
                 return;
             }
-        } else {
-            self.mem_op_count += 1;
         }
         self.ops.push(op);
     }
@@ -136,18 +133,14 @@ impl Trace {
             .sum()
     }
 
-    /// Number of discrete memory operations (copies count as one).
+    /// Number of discrete memory operations (copies count as one),
+    /// counted on each call.
     #[must_use]
-    #[inline]
     pub fn mem_ops(&self) -> u64 {
-        debug_assert_eq!(
-            self.mem_op_count,
-            self.ops
-                .iter()
-                .filter(|op| !matches!(op, TraceOp::Compute(_)))
-                .count() as u64
-        );
-        self.mem_op_count
+        self.ops
+            .iter()
+            .filter(|op| !matches!(op, TraceOp::Compute(_)))
+            .count() as u64
     }
 
     /// Coalesces runs of contiguous same-direction, same-object accesses

@@ -1,12 +1,14 @@
 //! Property tests for the event-wheel timing core.
 //!
-//! The wheel pre-folds every task's trace into a flat `LaneEntry` arena
-//! and picks the next lane from two sorted queues (lanes not yet started,
-//! and served lanes in grant order); a bug that skipped an entry,
-//! advanced a cursor twice, or broke a `(time, lane)` tie the wrong way
-//! would silently drop or reorder registered events. These properties
-//! pin the wheel to the retained naive heap core
-//! (`simulate_accel_system_naive`) on randomized workloads — every
+//! The wheel folds every task's trace, in one pass and in trace order,
+//! into a flat `LaneEntry` arena whose lanes step through it `stride`
+//! entries at a time, and picks the next lane from two sorted queues
+//! (lanes not yet started, and served lanes in grant order); a bug that
+//! skipped an entry, stepped a cursor by the wrong stride, or broke a
+//! `(time, lane)` tie the wrong way would silently drop or reorder
+//! registered events. These properties pin the wheel to the one retained
+//! heap core (`simulate_accel_system_naive`, where every memory op pops
+//! and re-enters the heap) on randomized workloads — every
 //! registered memory event must be granted exactly once (beat
 //! accounting) and every per-task completion cycle must match the
 //! reference scheduler cycle-for-cycle.

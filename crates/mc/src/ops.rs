@@ -167,20 +167,6 @@ pub enum McOp {
 }
 
 impl McOp {
-    /// True for ops that provably mutate nothing in any state: pure
-    /// derivation probes, and grants of sealed/untagged capabilities
-    /// (every implementation rejects them before touching any state —
-    /// the model checker asserts exactly that). The explorer applies
-    /// these in place instead of cloning, since the successor always
-    /// re-hits the predecessor's canonical state.
-    #[must_use]
-    pub fn is_pure(self) -> bool {
-        matches!(
-            self,
-            McOp::Derive { .. } | McOp::GrantSealed { .. } | McOp::GrantUntagged { .. }
-        )
-    }
-
     /// The op with task ids mapped through `task_perm` and object ids
     /// through `object_perm` (index = old id, value = new id) — the
     /// relabeling the symmetry-reduction property tests exercise.
