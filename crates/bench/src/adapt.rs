@@ -9,13 +9,12 @@
 //! which mode each epoch actually ran in, what it cost, and why the
 //! controller moved.
 //!
-//! Epoch 0 runs fully checked while the static analyzer's segment proof
-//! is (notionally) being computed; every later epoch re-installs the
-//! retained verdict map before its kernels run — the same
-//! install-after-drop move `AdaptController` performs after a mode
-//! switch, so elision survives Fine ⇄ Coarse transitions instead of
-//! being lost at the first rebuild. Each epoch's `checks_elided` column
-//! is the measured payoff.
+//! Epoch 0 runs fully checked while the static analyzer's proof is
+//! (notionally) being computed. Every later epoch builds its system
+//! afresh in the controller's current mode and installs the analyzer's
+//! verdict map before its kernels run, so elision holds on both sides of
+//! a Fine ⇄ Coarse switch. Each epoch's `checks_elided` column is the
+//! measured payoff.
 //!
 //! Everything serialized derives from simulated quantities, so the JSON
 //! is byte-identical for a fixed `(bench, epochs, tasks, seed)` on any
@@ -62,7 +61,7 @@ pub struct AdaptEpoch {
     pub hits: u64,
     /// Cache misses this epoch.
     pub misses: u64,
-    /// Checks the re-installed segment proof skipped this epoch (zero in
+    /// Checks the installed verdict map skipped this epoch (zero in
     /// epoch 0, where the proof is still being computed).
     pub checks_elided: u64,
 }
@@ -109,8 +108,8 @@ impl AdaptBenchReport {
         // cache itself is the signal source and stays in place, so the
         // cache/FU lattices are inert (`cached = false`, no FUs).
         let mut controller = AdaptController::new(config, CheckerMode::Fine, false);
-        // The segment proof the loop re-installs from epoch 1 onward:
-        // epoch 0 runs fully checked while the analyzer computes it.
+        // The proof the loop installs from epoch 1 onward: epoch 0 runs
+        // fully checked while the analyzer computes it.
         let analysis = analyze_benchmark(bench, seed);
         let mut out = Vec::with_capacity(epochs as usize);
         let mut tasks_run = tasks.max(1);
@@ -118,10 +117,9 @@ impl AdaptBenchReport {
             let mode = controller.mode();
             let spec = RunSpec {
                 cache: Some(adaptive_cache_config().with_mode(mode)),
-                // Install-after-drop: each epoch's rebuilt checker (and
-                // every mid-epoch mode switch) starts without a verdict
-                // map; re-installing the retained segment proof is what
-                // keeps elision alive across the controller's switches.
+                // Each epoch's fresh checker starts without a verdict
+                // map; installing the proof again is what keeps elision
+                // alive across the controller's switches.
                 elide: (epoch > 0).then_some(&analysis),
                 ..RunSpec::new(
                     bench,
@@ -343,8 +341,8 @@ mod tests {
     #[test]
     fn small_cache_drives_a_stall_switch() {
         // With 4 cache entries a multi-buffer kernel misses hard enough
-        // that the default up-threshold fires. Once the segment proof is
-        // re-installed, elided epochs stall so little that the
+        // that the default up-threshold fires. Once the proof is
+        // installed, elided epochs stall so little that the
         // down-threshold brings the system back to Fine — the round trip
         // static elision buys.
         let r =
@@ -363,10 +361,8 @@ mod tests {
 
     #[test]
     fn elision_survives_the_first_mode_switch() {
-        // The acceptance figure: before epoch-scoped re-install, any mode
-        // switch dropped the verdict map and every later epoch reported
-        // zero elided checks. Now every epoch after the proof epoch —
-        // including those past the first switch — elides.
+        // Every epoch after the proof epoch — including those past the
+        // first switch — installs the verdict map and elides.
         let r =
             AdaptBenchReport::collect(Benchmark::SpmvCrs, 4, 2, 1, AdaptConfig::default()).unwrap();
         let first_switch = r

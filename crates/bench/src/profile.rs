@@ -5,8 +5,7 @@
 //! cycle-domain span tree, profiler histograms, and check attribution),
 //! so the JSON is byte-identical for a fixed `(bench, variant, tasks,
 //! seed)` on any machine and at any `--threads` value. Host wall-clock
-//! readings never enter this report — they belong to the diagnostic
-//! domain ([`perf::PoolProfile`], rendered as text only).
+//! readings never enter this report.
 
 use crate::runner::{run, RunError, RunResult, RunSpec};
 use capchecker::{CheckAttribution, SystemVariant};

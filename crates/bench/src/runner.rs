@@ -60,7 +60,7 @@ pub struct RunSpec<'a> {
     pub cache: Option<CachedCheckerConfig>,
     /// Elide the checks this analysis proved safe (`ccpu+caccel` only):
     /// tasks get least-privilege device grants, the verdict map is
-    /// retained and installed before each kernel, and when every port is
+    /// installed before each kernel, and when every port is
     /// proved safe the checker's pipeline stage drops off the bus path.
     pub elide: Option<&'a BenchAnalysis>,
     /// Record every event and freeze a metrics snapshot.
@@ -230,10 +230,7 @@ pub fn run(spec: &RunSpec<'_>) -> Result<RunOutcome, RunError> {
             for (task, object, verdict) in analysis.verdict_map(id).iter() {
                 verdicts.set(task, object, verdict);
             }
-            // Retained, not merely installed: a mode switch mid-run drops
-            // the checker's copy, and the epoch-scoped ledger is what the
-            // adaptive controller re-installs from.
-            sys.retain_segment_verdicts(verdicts.clone());
+            sys.install_static_verdicts(verdicts.clone());
         }
         for (obj, image) in bench.init(seed.wrapping_add(t as u64)).iter().enumerate() {
             sys.write_buffer(id, obj, 0, image)

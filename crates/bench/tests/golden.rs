@@ -93,7 +93,7 @@ fn adapt_campaign_hang_report() -> String {
 }
 
 /// `simulate adapt spmv_crs --epochs 6 --seed 3 --json`: a mode switch
-/// plus segment re-install, with hit, miss and elided counters.
+/// with elided epochs on both sides, and hit, miss and elided counters.
 fn adapt_spmv_report() -> String {
     reports_to_json(&[AdaptBenchReport::collect(
         Benchmark::SpmvCrs,

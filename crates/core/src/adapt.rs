@@ -781,10 +781,6 @@ fn run_epoch(
             }
             AdaptAction::RepromoteCache => {
                 campaign.sys.repromote_to_cached(cached_cfg);
-                // The rebuild dropped the installed verdict map; restore
-                // the retained segment proof so elision survives the
-                // probation round-trip.
-                campaign.sys.reinstall_segment_verdicts();
                 campaign
                     .sys
                     .record(EventKind::ProbationPassed { epoch: d.epoch });
@@ -797,11 +793,6 @@ fn run_epoch(
             }
             AdaptAction::SwitchMode { to, .. } => {
                 campaign.sys.set_checker_mode(to);
-                // Same coherence dance as re-promotion: map and bitmap
-                // dropped together by the rebuild, re-installed together
-                // from the epoch-scoped ledger. Degradation deliberately
-                // gets no re-install — trust was withdrawn.
-                campaign.sys.reinstall_segment_verdicts();
             }
             AdaptAction::ReleaseFu { fu } => {
                 campaign.release_fu(fu as usize);

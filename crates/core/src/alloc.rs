@@ -94,7 +94,7 @@ impl HeapAllocator {
             let (fbase, fsize) = self.free[i];
             let aligned = fbase.next_multiple_of(align);
             let pad = aligned - fbase;
-            if fsize < pad + size {
+            if fsize < pad || fsize - pad < size {
                 continue;
             }
             // Carve [aligned, aligned+size) out of the block.
@@ -187,6 +187,14 @@ mod tests {
         assert!(h.alloc(1, 1).is_none());
         h.free(a, 256).unwrap();
         assert!(h.alloc(1, 1).is_some());
+    }
+
+    #[test]
+    fn oversized_requests_return_none() {
+        // The alignment pad plus the size overflows u64.
+        let mut h = HeapAllocator::new(0x1008, 0x1000);
+        assert!(h.alloc(u64::MAX, 16).is_none());
+        assert_eq!(h.free_bytes(), 0x1000);
     }
 
     #[test]

@@ -106,65 +106,6 @@ impl StaticVerdictMap {
     }
 }
 
-/// Epoch-scoped verdict retention: the driver-side ledger that lets
-/// elision survive the adaptive controller.
-///
-/// The coherence rule (see [`VerdictBitmap`]) makes every checker
-/// rebuild — mode switch, degradation, re-promotion — drop the
-/// installed map and bitmap *together*. That is correct but, before
-/// this ledger existed, also permanent: the proof was lost with the
-/// checker, and adaptive runs got zero elision after their first
-/// switch. `SegmentVerdicts` keeps the current analysis segment's
-/// proven-safe map *outside* the checker, so the controller can
-/// re-install it atomically (map and bitmap rebuilt in the same
-/// `set_static_verdicts` call) right after a rebuild. Degradation
-/// deliberately does **not** re-install: a degraded checker is running
-/// because trust was withdrawn, and elision stays off until the
-/// controller re-promotes.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct SegmentVerdicts {
-    map: Option<StaticVerdictMap>,
-    reinstalls: u64,
-}
-
-impl SegmentVerdicts {
-    /// An empty ledger: nothing retained, nothing to re-install.
-    #[must_use]
-    pub fn new() -> SegmentVerdicts {
-        SegmentVerdicts::default()
-    }
-
-    /// Retains `map` as the current segment's proof. Replaces any
-    /// previously retained map — segments supersede each other.
-    pub fn retain(&mut self, map: StaticVerdictMap) {
-        self.map = Some(map);
-    }
-
-    /// Drops the retained proof (the stream crossed a barrier the
-    /// retained segment does not cover).
-    pub fn clear(&mut self) {
-        self.map = None;
-    }
-
-    /// The retained map, if any — what a re-install would install.
-    #[must_use]
-    pub fn retained(&self) -> Option<&StaticVerdictMap> {
-        self.map.as_ref()
-    }
-
-    /// Records one successful re-installation.
-    pub fn record_reinstall(&mut self) {
-        self.reinstalls += 1;
-    }
-
-    /// How many times the retained map was re-installed after a
-    /// checker rebuild.
-    #[must_use]
-    pub fn reinstalls(&self) -> u64 {
-        self.reinstalls
-    }
-}
-
 /// Objects representable in one bitmap row: the checker's table holds at
 /// most 256 entries, so denser object spaces are out of the fast path by
 /// construction (they spill, correctly, into a sorted slice).
@@ -323,26 +264,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn segment_ledger_retains_replaces_and_clears() {
-        let mut ledger = SegmentVerdicts::new();
-        assert!(ledger.retained().is_none());
-        let mut first = StaticVerdictMap::new();
-        first.set(TaskId(0), ObjectId(0), StaticVerdict::Safe);
-        ledger.retain(first.clone());
-        assert_eq!(ledger.retained(), Some(&first));
-        let mut second = StaticVerdictMap::new();
-        second.set(TaskId(1), ObjectId(2), StaticVerdict::Safe);
-        ledger.retain(second.clone());
-        assert_eq!(ledger.retained(), Some(&second), "segments supersede");
-        ledger.record_reinstall();
-        ledger.record_reinstall();
-        assert_eq!(ledger.reinstalls(), 2);
-        ledger.clear();
-        assert!(ledger.retained().is_none());
-        assert_eq!(ledger.reinstalls(), 2, "history survives a clear");
     }
 
     #[test]

@@ -77,7 +77,7 @@ pub use alloc::{AllocError, HeapAllocator};
 pub use attrib::{CheckAttribution, CheckCounters};
 pub use checker::{CapChecker, CheckerSnapshot};
 pub use config::{CachedCheckerConfig, CheckerConfig, CheckerMode};
-pub use elide::{SegmentVerdicts, StaticVerdict, StaticVerdictMap, VerdictBitmap};
+pub use elide::{StaticVerdict, StaticVerdictMap, VerdictBitmap};
 pub use engines::{CapRegs, Provenance, Vet};
 pub use recovery::{
     run_campaign, CampaignConfig, CampaignReport, RecoveryOutcome, RecoveryPolicy, Resolution,

@@ -20,7 +20,7 @@
 use crate::alloc::{AllocError, HeapAllocator};
 use crate::checker::CapChecker;
 use crate::config::{CachedCheckerConfig, CheckerConfig, CheckerMode};
-use crate::elide::{SegmentVerdicts, StaticVerdictMap};
+use crate::elide::StaticVerdictMap;
 use crate::engines::{CapRegs, Provenance, Vet};
 use cheri::{compressed, Capability, CapabilityTree, NodeId, ObjectKind, Perms};
 use hetsim::mmio::RegisterFile;
@@ -393,12 +393,24 @@ struct Fu {
     quarantined: bool,
 }
 
+/// The heap block the driver placed for one buffer.
+#[derive(Clone, Copy, Debug)]
+struct Block {
+    base: u64,
+    /// Bytes the task asked for.
+    size: u64,
+    /// The capability's length: `size` padded until the compressed
+    /// encoding represents `[base, base + len)` exactly.
+    len: u64,
+    /// Heap bytes held: `len` plus the guard bytes.
+    reserve: u64,
+}
+
 #[derive(Debug)]
 struct TaskState {
     name: String,
     fu: Option<usize>,
-    buffers: Vec<(u64, u64)>,
-    padded: Vec<(u64, u64)>,
+    blocks: Vec<Block>,
     caps: Vec<Capability>,
     /// What was actually installed into the device-side protection: equal
     /// to `caps` unless a buffer carried narrower `device_perms`.
@@ -512,10 +524,6 @@ pub struct HeteroSystem {
     /// deallocated task ([`EventKind::ChecksElided`]); the checker's
     /// counter is cumulative, so events carry the delta.
     elided_reported: u64,
-    /// Epoch-scoped verdict retention: the current analysis segment's
-    /// proven-safe map, held outside the checker so the adaptive
-    /// controller can re-install it after rebuilds drop it.
-    segment_verdicts: SegmentVerdicts,
 }
 
 impl HeteroSystem {
@@ -543,7 +551,6 @@ impl HeteroSystem {
             tracer: None,
             driver_clock: 0,
             elided_reported: 0,
-            segment_verdicts: SegmentVerdicts::new(),
             config,
         }
     }
@@ -643,46 +650,6 @@ impl HeteroSystem {
         true
     }
 
-    /// Installs `map` into the active checker *and* retains it in the
-    /// epoch-scoped ledger, so [`HeteroSystem::reinstall_segment_verdicts`]
-    /// can restore it after a rebuild drops the checker's copy. Returns
-    /// `false` on baseline systems (nothing installed or retained).
-    pub fn retain_segment_verdicts(&mut self, map: StaticVerdictMap) -> bool {
-        if !self.install_static_verdicts(map.clone()) {
-            return false;
-        }
-        self.segment_verdicts.retain(map);
-        true
-    }
-
-    /// Re-installs the retained segment map after a checker rebuild
-    /// (mode switch or re-promotion). The rebuild dropped map and bitmap
-    /// together per the coherence rule; this restores both atomically in
-    /// one `set_static_verdicts` call. Returns the number of safe pairs
-    /// restored, or `None` when nothing is retained or the system has no
-    /// elision path.
-    pub fn reinstall_segment_verdicts(&mut self) -> Option<u64> {
-        let map = self.segment_verdicts.retained()?.clone();
-        let safe_pairs = map.safe_pairs();
-        self.checker_mut()?.set_static_verdicts(map);
-        self.segment_verdicts.record_reinstall();
-        self.record(EventKind::SegmentVerdictsReinstalled { safe_pairs });
-        Some(safe_pairs)
-    }
-
-    /// Drops the retained segment map (the workload crossed an analysis
-    /// barrier the retained proof does not cover). The checker's
-    /// installed copy is untouched; rebuilds clear that side.
-    pub fn clear_segment_verdicts(&mut self) {
-        self.segment_verdicts.clear();
-    }
-
-    /// The epoch-scoped verdict ledger (retained map + re-install count).
-    #[must_use]
-    pub fn segment_verdicts(&self) -> &SegmentVerdicts {
-        &self.segment_verdicts
-    }
-
     /// The static verdict map installed into the active checker, if any.
     #[must_use]
     pub fn static_verdicts(&self) -> Option<&StaticVerdictMap> {
@@ -756,30 +723,12 @@ impl HeteroSystem {
             }
         };
 
-        // ① step 2: allocate the buffers (padded so that every capability
-        // is exactly representable).
-        let mut buffers = Vec::with_capacity(req.buffers.len());
-        let mut padded = Vec::with_capacity(req.buffers.len());
-        let mut cap_sizes = Vec::with_capacity(req.buffers.len());
+        // ① step 2: place the buffers on the shared heap.
+        let mut blocks = Vec::with_capacity(req.buffers.len());
         for spec in &req.buffers {
-            let (align, padded_size) = representable_block(spec.size);
-            let reserve = padded_size + self.config.guard_bytes;
-            match self.alloc.alloc(reserve, align) {
-                Some(base) => {
-                    buffers.push((base, spec.size));
-                    padded.push((base, reserve));
-                    cap_sizes.push(padded_size);
-                }
-                None => {
-                    for (base, size) in padded {
-                        self.alloc
-                            .free(base, size)
-                            .expect("rollback frees blocks just allocated");
-                    }
-                    return Err(DriverError::OutOfMemory {
-                        requested: spec.size,
-                    });
-                }
+            match self.place(spec.size) {
+                Ok(block) => blocks.push(block),
+                Err(e) => return self.release(&blocks, None).and(Err(e)),
             }
         }
 
@@ -790,100 +739,47 @@ impl HeteroSystem {
             phase: Phase::Allocate,
         });
 
-        // Derive the task and buffer capabilities in the provenance tree.
-        let span = buffers
-            .iter()
-            .zip(&padded)
-            .fold((u64::MAX, 0u64), |(lo, hi), (&(b, _), &(_, ps))| {
-                (lo.min(b), hi.max(b + ps))
-            });
+        // Derive the task capability, spanning every block, in the
+        // provenance tree; the buffers derive from it.
+        let (lo, hi) = blocks.iter().fold((u64::MAX, 0u64), |(lo, hi), b| {
+            (lo.min(b.base), hi.max(b.base + b.reserve))
+        });
         let kind = if fu.is_some() {
             ObjectKind::AcceleratorTask
         } else {
             ObjectKind::CpuTask
         };
-        let task_node = if buffers.is_empty() {
-            self.tree
-                .derive(self.tree.root(), kind, req.name.clone(), |c| Ok(*c))?
-        } else {
-            self.tree
-                .derive(self.tree.root(), kind, req.name.clone(), |c| {
-                    c.set_bounds(span.0, span.1 - span.0)
-                })?
+        let task_node = match self
+            .tree
+            .derive(self.tree.root(), kind, req.name.clone(), |c| {
+                if blocks.is_empty() {
+                    Ok(*c)
+                } else {
+                    c.set_bounds(lo, hi - lo)
+                }
+            }) {
+            Ok(node) => node,
+            Err(e) => return self.release(&blocks, None).and(Err(e.into())),
         };
-        let mut caps = Vec::with_capacity(buffers.len());
-        let mut install_caps = Vec::with_capacity(buffers.len());
-        for (i, (&(base, _), &psize)) in buffers.iter().zip(&cap_sizes).enumerate() {
-            let perms = req.buffers[i].perms;
-            let node = self.tree.derive(
-                task_node,
-                ObjectKind::Buffer,
-                format!("{}:obj{}", req.name, i),
-                |c| c.set_bounds_exact(base, psize)?.and_perms(perms),
-            )?;
-            let cap = *self.tree.capability(node);
-            // The device-side grant may be narrower than the host-side
-            // capability (least privilege for the accelerator); the host
-            // keeps `cap` for staging and readback.
-            install_caps.push(match req.buffers[i].device_perms {
-                Some(device) => cap.and_perms(device)?,
-                None => cap,
-            });
-            caps.push(cap);
-        }
-
-        // ① step 3: import the capabilities into the protection mechanism
-        // and account for the MMIO installation cost. On CapChecker
-        // systems the driver really does stage each capability over the
-        // capability interconnect's register map (Figure 6 ③).
-        let mut setup_cycles = 0;
-        if fu.is_some() {
-            let install_cost = self.protection.import_cycles();
-            let mut tracer = self.tracer.clone();
-            let mut clock = self.driver_clock;
-            for (i, cap) in install_caps.iter().enumerate() {
-                let result = self.protection.import(id, ObjectId(i as u16), cap);
-                clock = clock.saturating_add(install_cost + self.config.mmio_write_cycles);
-                if let Some(t) = tracer.as_mut() {
-                    t.record(
-                        clock,
-                        EventKind::MmioCapInstall {
-                            task: id.0,
-                            object: i as u16,
-                            ok: result.is_ok(),
-                        },
-                    );
-                    if matches!(result, Err(GrantError::TableFull)) {
-                        t.record(clock, EventKind::CheckerStall { task: id.0 });
-                    }
-                }
-                if let Err(e) = result {
-                    self.driver_clock = clock;
+        let (caps, device_caps, mut setup_cycles) =
+            match self.grant_buffers(id, req, task_node, &blocks, fu.is_some()) {
+                Ok(granted) => granted,
+                Err(e) => {
                     self.protection.as_dyn().revoke_task(id);
-                    for (base, size) in padded {
-                        self.alloc
-                            .free(base, size)
-                            .expect("rollback frees blocks just allocated");
-                    }
-                    self.tree.revoke(task_node);
-                    return Err(DriverError::ProtectionTableFull(e));
+                    return self.release(&blocks, Some(task_node)).and(Err(e));
                 }
-            }
-            setup_cycles += caps.len() as Cycles * install_cost;
-            // Control registers: one pointer per buffer plus start/config.
-            setup_cycles += (caps.len() as Cycles + 2) * self.config.mmio_write_cycles;
-        }
-        self.driver_clock = self.driver_clock.saturating_add(setup_cycles);
+            };
 
-        // Load the accelerator's base pointers into its control registers.
+        // Control registers: each buffer's pointer write was charged with
+        // its import; start and config are two more writes. Then load the
+        // accelerator's base pointers.
         if let Some(fu_idx) = fu {
-            let coarse = self.coarse_config();
-            for (i, &(base, _)) in buffers.iter().enumerate() {
-                let visible = match coarse {
-                    Some(cfg) => cfg.coarse_tag_address(i as u16, base),
-                    None => base,
-                };
-                self.fus[fu_idx].regs.set(i, visible);
+            let registers = 2 * self.config.mmio_write_cycles;
+            self.driver_clock = self.driver_clock.saturating_add(registers);
+            setup_cycles += registers;
+            for (i, block) in blocks.iter().enumerate() {
+                let address = self.device_address(i, block.base);
+                self.fus[fu_idx].regs.set(i, address);
             }
             self.fus[fu_idx].busy = Some(id);
         }
@@ -893,10 +789,9 @@ impl HeteroSystem {
             TaskState {
                 name: req.name.clone(),
                 fu,
-                buffers,
-                padded,
+                blocks,
                 caps,
-                device_caps: install_caps,
+                device_caps,
                 dynamic_nodes: Vec::new(),
                 task_node,
                 setup_cycles,
@@ -907,10 +802,140 @@ impl HeteroSystem {
         Ok(id)
     }
 
-    fn coarse_config(&self) -> Option<CheckerConfig> {
-        self.checker()
-            .filter(|c| c.mode() == CheckerMode::Coarse)
-            .map(|c| *c.config())
+    /// Derives a new task's buffer capabilities under `task_node` and, on
+    /// an accelerator task, imports the device-side ones (① step 3).
+    /// Returns the host and device capabilities and the cycles the
+    /// imports charged.
+    fn grant_buffers(
+        &mut self,
+        task: TaskId,
+        req: &TaskRequest,
+        task_node: NodeId,
+        blocks: &[Block],
+        accel: bool,
+    ) -> Result<(Vec<Capability>, Vec<Capability>, Cycles), DriverError> {
+        let mut caps = Vec::with_capacity(blocks.len());
+        let mut device_caps = Vec::with_capacity(blocks.len());
+        for (i, (block, spec)) in blocks.iter().zip(&req.buffers).enumerate() {
+            let label = format!("{}:obj{i}", req.name);
+            let (_, cap, device) = self.derive_buffer(task_node, label, block, spec)?;
+            caps.push(cap);
+            device_caps.push(device);
+        }
+        let mut cycles = 0;
+        if accel {
+            for (i, cap) in device_caps.iter().enumerate() {
+                cycles += self.install(task, i, cap)?;
+            }
+        }
+        Ok((caps, device_caps, cycles))
+    }
+
+    /// Places a buffer of `size` bytes on the heap, padded so that its
+    /// capability is exactly representable and followed by the guard
+    /// bytes.
+    ///
+    /// # Errors
+    ///
+    /// [`DriverError::OutOfMemory`] when the heap has no room, or the
+    /// padded size does not fit the address space.
+    fn place(&mut self, size: u64) -> Result<Block, DriverError> {
+        let placed = representable_block(size).and_then(|(align, len)| {
+            let reserve = len.checked_add(self.config.guard_bytes)?;
+            let base = self.alloc.alloc(reserve, align)?;
+            Some(Block {
+                base,
+                size,
+                len,
+                reserve,
+            })
+        });
+        placed.ok_or(DriverError::OutOfMemory { requested: size })
+    }
+
+    /// Derives a buffer's host capability under `parent`, bounded exactly
+    /// to `block` with the spec's permissions, and its device-side copy,
+    /// narrowed to `device_perms` when the spec has them. Both are
+    /// computed before the node is made, so a failure leaves nothing to
+    /// undo. Returns the node and the host and device capabilities.
+    fn derive_buffer(
+        &mut self,
+        parent: NodeId,
+        label: String,
+        block: &Block,
+        spec: &BufferSpec,
+    ) -> Result<(NodeId, Capability, Capability), DriverError> {
+        let host = self
+            .tree
+            .capability(parent)
+            .set_bounds_exact(block.base, block.len)?
+            .and_perms(spec.perms)?;
+        let device = match spec.device_perms {
+            Some(perms) => host.and_perms(perms)?,
+            None => host,
+        };
+        let node = self
+            .tree
+            .derive(parent, ObjectKind::Buffer, label, |_| Ok(host))?;
+        Ok((node, host, device))
+    }
+
+    /// Imports `cap` as `task`'s object `obj` over MMIO: charges the
+    /// import and its register write to the driver clock, and records the
+    /// install, plus a stall on a full table, at the advanced clock.
+    /// Returns the cycles charged.
+    ///
+    /// # Errors
+    ///
+    /// [`DriverError::ProtectionTableFull`] when the mechanism refuses;
+    /// the clock is charged all the same.
+    fn install(
+        &mut self,
+        task: TaskId,
+        obj: usize,
+        cap: &Capability,
+    ) -> Result<Cycles, DriverError> {
+        let cycles = self.protection.import_cycles() + self.config.mmio_write_cycles;
+        let result = self.protection.import(task, ObjectId(obj as u16), cap);
+        self.driver_clock = self.driver_clock.saturating_add(cycles);
+        self.record(EventKind::MmioCapInstall {
+            task: task.0,
+            object: obj as u16,
+            ok: result.is_ok(),
+        });
+        if matches!(result, Err(GrantError::TableFull)) {
+            self.record(EventKind::CheckerStall { task: task.0 });
+        }
+        result.map_err(DriverError::ProtectionTableFull)?;
+        Ok(cycles)
+    }
+
+    /// Returns `blocks` to the heap and revokes `node` with its subtree:
+    /// the undo of a grant that failed part-way, and the end of a task.
+    ///
+    /// # Errors
+    ///
+    /// [`DriverError::Alloc`] when the heap rejects a block.
+    fn release(&mut self, blocks: &[Block], node: Option<NodeId>) -> Result<(), DriverError> {
+        if let Some(node) = node {
+            self.tree.revoke(node);
+        }
+        for block in blocks {
+            self.alloc.free(block.base, block.reserve)?;
+        }
+        Ok(())
+    }
+
+    /// The address the accelerator sees for object `obj` at `base`:
+    /// object-tagged when the CapChecker runs in Coarse mode, physical
+    /// otherwise.
+    fn device_address(&self, obj: usize, base: u64) -> u64 {
+        match self.checker() {
+            Some(c) if c.mode() == CheckerMode::Coarse => {
+                c.config().coarse_tag_address(obj as u16, base)
+            }
+            _ => base,
+        }
     }
 
     /// The accelerator-visible layout of a task's buffers (object-tagged
@@ -921,13 +946,12 @@ impl HeteroSystem {
     /// [`DriverError::UnknownTask`].
     pub fn accel_layout(&self, task: TaskId) -> Result<TaskLayout, DriverError> {
         let st = self.state(task)?;
-        let coarse = self.coarse_config();
-        Ok(TaskLayout::new(st.buffers.iter().enumerate().map(
-            |(i, &(base, size))| match coarse {
-                Some(cfg) => (cfg.coarse_tag_address(i as u16, base), size),
-                None => (base, size),
-            },
-        )))
+        Ok(TaskLayout::new(
+            st.blocks
+                .iter()
+                .enumerate()
+                .map(|(i, b)| (self.device_address(i, b.base), b.size)),
+        ))
     }
 
     /// The physical layout of a task's buffers (the CPU's view).
@@ -936,7 +960,8 @@ impl HeteroSystem {
     ///
     /// [`DriverError::UnknownTask`].
     pub fn cpu_layout(&self, task: TaskId) -> Result<TaskLayout, DriverError> {
-        Ok(TaskLayout::new(self.state(task)?.buffers.iter().copied()))
+        let st = self.state(task)?;
+        Ok(TaskLayout::new(st.blocks.iter().map(|b| (b.base, b.size))))
     }
 
     /// Host-side buffer initialization (the CPU writes input data). On a
@@ -957,8 +982,8 @@ impl HeteroSystem {
             .tasks
             .get(&task)
             .ok_or(DriverError::UnknownTask(task))?;
-        let &(base, size) = st
-            .buffers
+        let &Block { base, size, .. } = st
+            .blocks
             .get(obj)
             .ok_or(DriverError::HostAccessOutOfBounds)?;
         if self.config.cheri_cpu {
@@ -986,8 +1011,8 @@ impl HeteroSystem {
         out: &mut [u8],
     ) -> Result<(), DriverError> {
         let st = self.state(task)?;
-        let &(base, size) = st
-            .buffers
+        let &Block { base, size, .. } = st
+            .blocks
             .get(obj)
             .ok_or(DriverError::HostAccessOutOfBounds)?;
         if self.config.cheri_cpu {
@@ -1126,13 +1151,11 @@ impl HeteroSystem {
     ///
     /// [`DriverError::UnknownTask`].
     pub fn take_trace(&mut self, task: TaskId) -> Result<Option<Trace>, DriverError> {
-        self.state(task)?;
-        Ok(self
+        let st = self
             .tasks
             .get_mut(&task)
-            .expect("state verified above")
-            .trace
-            .take())
+            .ok_or(DriverError::UnknownTask(task))?;
+        Ok(st.trace.take())
     }
 
     /// Driver setup cycles for the task: control-register writes plus (on
@@ -1215,21 +1238,21 @@ impl HeteroSystem {
         // heap: on an exception this hides the aborted task's secrets
         // (§5.3 ②), and on normal completion it stops the next tenant from
         // inspecting leftovers (CWE-244).
-        for &(base, size) in &st.padded {
+        for block in &st.blocks {
             self.mem
-                .scrub(base, size)
-                .expect("task buffers are in range");
-            self.alloc.free(base, size)?;
+                .scrub(block.base, block.reserve)
+                .map_err(DriverError::Platform)?;
         }
         let scrub = true;
         // Revoke any capability the CPU spilled into memory that still
         // points at the freed buffers (asynchronous software revocation).
         let capabilities_revoked = if self.config.revocation_sweep {
-            crate::revoke::sweep_revoked_many(&mut self.mem, &st.padded).revoked
+            let held: Vec<(u64, u64)> = st.blocks.iter().map(|b| (b.base, b.reserve)).collect();
+            crate::revoke::sweep_revoked_many(&mut self.mem, &held).revoked
         } else {
             0
         };
-        self.tree.revoke(st.task_node);
+        self.release(&st.blocks, Some(st.task_node))?;
         for node in st.dynamic_nodes {
             self.tree.revoke(node);
         }
@@ -1262,88 +1285,35 @@ impl HeteroSystem {
         task: TaskId,
         spec: BufferSpec,
     ) -> Result<usize, DriverError> {
-        if !self.tasks.contains_key(&task) {
-            return Err(DriverError::UnknownTask(task));
-        }
-        let (align, padded_size) = representable_block(spec.size);
-        let reserve = padded_size + self.config.guard_bytes;
-        let base = self
-            .alloc
-            .alloc(reserve, align)
-            .ok_or(DriverError::OutOfMemory {
-                requested: spec.size,
-            })?;
+        let st = self.state(task)?;
+        let (obj, fu) = (st.blocks.len(), st.fu);
         // Dynamic buffers derive from the heap authority (the root), like
         // malloc on a CHERI CPU: the allocator's capability, narrowed.
-        let st_name = self.tasks[&task].name.clone();
-        let obj = self.tasks[&task].buffers.len();
-        let node = match self.tree.derive(
-            self.tree.root(),
-            ObjectKind::Buffer,
-            format!("{st_name}:dyn{obj}"),
-            |c| c.set_bounds_exact(base, padded_size)?.and_perms(spec.perms),
-        ) {
-            Ok(n) => n,
-            Err(e) => {
-                self.alloc
-                    .free(base, reserve)
-                    .expect("rollback frees the block just allocated");
-                return Err(DriverError::Capability(e));
-            }
-        };
-        let cap = *self.tree.capability(node);
-        let device_cap = match spec.device_perms {
-            Some(device) => match cap.and_perms(device) {
-                Ok(c) => c,
-                Err(e) => {
-                    self.tree.revoke(node);
-                    self.alloc
-                        .free(base, reserve)
-                        .expect("rollback frees the block just allocated");
-                    return Err(DriverError::Capability(e));
-                }
-            },
-            None => cap,
-        };
-        let install = self.protection.import_cycles();
-        if self.tasks[&task].fu.is_some() {
-            let result = self
-                .protection
-                .import(task, ObjectId(obj as u16), &device_cap);
-            self.driver_clock = self
-                .driver_clock
-                .saturating_add(install + self.config.mmio_write_cycles);
-            self.record(EventKind::MmioCapInstall {
-                task: task.0,
-                object: obj as u16,
-                ok: result.is_ok(),
-            });
-            if matches!(result, Err(GrantError::TableFull)) {
-                self.record(EventKind::CheckerStall { task: task.0 });
-            }
-            if let Err(e) = result {
-                self.tree.revoke(node);
-                self.alloc
-                    .free(base, reserve)
-                    .expect("rollback frees the block just allocated");
-                return Err(DriverError::ProtectionTableFull(e));
-            }
+        let label = format!("{}:dyn{obj}", st.name);
+        let block = self.place(spec.size)?;
+        let (node, cap, device_cap) =
+            match self.derive_buffer(self.tree.root(), label, &block, &spec) {
+                Ok(derived) => derived,
+                Err(e) => return self.release(&[block], None).and(Err(e)),
+            };
+        let mut setup_cycles = 0;
+        if let Some(fu_idx) = fu {
+            setup_cycles = match self.install(task, obj, &device_cap) {
+                Ok(cycles) => cycles,
+                Err(e) => return self.release(&[block], Some(node)).and(Err(e)),
+            };
+            let address = self.device_address(obj, block.base);
+            self.fus[fu_idx].regs.set(obj, address);
         }
-        let coarse = self.coarse_config();
-        let st = self.tasks.get_mut(&task).expect("existence checked above");
-        st.buffers.push((base, spec.size));
-        st.padded.push((base, reserve));
+        let st = self
+            .tasks
+            .get_mut(&task)
+            .ok_or(DriverError::UnknownTask(task))?;
+        st.blocks.push(block);
         st.caps.push(cap);
         st.device_caps.push(device_cap);
         st.dynamic_nodes.push(node);
-        st.setup_cycles += self.config.mmio_write_cycles + install;
-        if let Some(fu_idx) = st.fu {
-            let visible = match coarse {
-                Some(cfg) => cfg.coarse_tag_address(obj as u16, base),
-                None => base,
-            };
-            self.fus[fu_idx].regs.set(obj, visible);
-        }
+        st.setup_cycles += setup_cycles;
         Ok(obj)
     }
 
@@ -1521,19 +1491,18 @@ impl HeteroSystem {
         }
         let regranted = self.rebuild_checker(checker.empty_in_mode(mode));
         // Reload every live FU's base pointers for the new address view.
-        let coarse = self.coarse_config();
+        let mut loads = Vec::new();
         for st in self.tasks.values() {
-            let Some(fu_idx) = st.fu else { continue };
-            for (i, &(base, _)) in st.buffers.iter().enumerate() {
-                let visible = match coarse {
-                    Some(cfg) => cfg.coarse_tag_address(i as u16, base),
-                    None => base,
-                };
-                self.fus[fu_idx].regs.set(i, visible);
-                self.driver_clock = self
-                    .driver_clock
-                    .saturating_add(self.config.mmio_write_cycles);
+            let Some(fu) = st.fu else { continue };
+            for (i, b) in st.blocks.iter().enumerate() {
+                loads.push((fu, i, self.device_address(i, b.base)));
             }
+        }
+        for (fu, i, address) in loads {
+            self.fus[fu].regs.set(i, address);
+            self.driver_clock = self
+                .driver_clock
+                .saturating_add(self.config.mmio_write_cycles);
         }
         self.record(EventKind::CheckerModeSwitched {
             coarse: mode == CheckerMode::Coarse,
@@ -1569,13 +1538,13 @@ impl HeteroSystem {
 }
 
 /// Alignment and padded size that make `[base, base+size)` exactly
-/// representable by the compressed encoding.
-fn representable_block(size: u64) -> (u64, u64) {
+/// representable by the compressed encoding; `None` when the padded size
+/// overflows the address space.
+fn representable_block(size: u64) -> Option<(u64, u64)> {
     let size = size.max(1);
     let exp = compressed::encode_bounds(0, size as u128).exponent;
-    let granule = 1u64 << exp;
-    let align = granule.max(16);
-    (align, size.next_multiple_of(align))
+    let align = (1u64 << exp).max(16);
+    Some((align, size.checked_next_multiple_of(align)?))
 }
 
 #[cfg(test)]
@@ -1785,7 +1754,7 @@ mod tests {
     #[test]
     fn representable_blocks_keep_caps_exact() {
         for size in [1u64, 12, 100, 4096, 16384, 65536, 66564, 1 << 20] {
-            let (align, padded) = representable_block(size);
+            let (align, padded) = representable_block(size).unwrap();
             assert!(padded >= size);
             assert!(align.is_power_of_two());
             let base = align * 3;
@@ -2047,51 +2016,6 @@ mod tests {
     }
 
     #[test]
-    fn retained_segment_verdicts_survive_mode_switch_and_repromotion() {
-        use crate::elide::{StaticVerdict, StaticVerdictMap};
-        let mut sys = HeteroSystem::new(SystemConfig {
-            protection: ProtectionChoice::CachedCapChecker(Default::default()),
-            ..SystemConfig::default()
-        });
-        let tracer = SharedTracer::new();
-        sys.set_tracer(tracer.clone());
-        sys.add_fus("gemm", 1);
-        let t = sys.allocate_task(&two_buffer_request()).unwrap();
-        let mut map = StaticVerdictMap::new();
-        map.set(t, ObjectId(0), StaticVerdict::Safe);
-        assert!(sys.retain_segment_verdicts(map));
-        assert_eq!(sys.static_verdicts().unwrap().safe_pairs(), 1);
-
-        // A mode switch rebuilds the checker and drops the installed map
-        // (coherence rule) — elision is gone...
-        sys.set_checker_mode(CheckerMode::Coarse).unwrap();
-        assert!(sys.static_verdicts().is_none(), "rebuild drops the map");
-        // ...until the controller re-installs the retained proof.
-        assert_eq!(sys.reinstall_segment_verdicts(), Some(1));
-        assert_eq!(sys.static_verdicts().unwrap().safe_pairs(), 1);
-
-        // Degrade → re-promote: the same ledger restores elision after
-        // the probation path swaps checkers twice.
-        sys.degrade_to_uncached().unwrap();
-        assert!(sys.static_verdicts().is_none());
-        sys.repromote_to_cached(Default::default()).unwrap();
-        assert_eq!(sys.reinstall_segment_verdicts(), Some(1));
-        assert_eq!(sys.segment_verdicts().reinstalls(), 2);
-
-        let events = tracer.snapshot();
-        let reinstalls = events
-            .events()
-            .iter()
-            .filter(|e| e.kind == EventKind::SegmentVerdictsReinstalled { safe_pairs: 1 })
-            .count();
-        assert_eq!(reinstalls, 2);
-
-        // A cleared ledger has nothing to re-install.
-        sys.clear_segment_verdicts();
-        assert_eq!(sys.reinstall_segment_verdicts(), None);
-    }
-
-    #[test]
     fn baseline_systems_refuse_verdict_maps() {
         let mut sys = HeteroSystem::new(SystemConfig {
             protection: ProtectionChoice::None,
@@ -2122,5 +2046,146 @@ mod tests {
             .unwrap();
         assert!(out.completed());
         assert!(sys.protection_entries() >= 1);
+    }
+
+    /// The grant path's driver events, clock, setup cycles and Coarse
+    /// base pointers, on a table that fills up: a task that needs more
+    /// entries than are left is rolled back whole, and a live task grown
+    /// past the last entry keeps exactly what it had.
+    #[test]
+    fn grant_path_events_clock_and_rollback_are_pinned() {
+        let mut sys = HeteroSystem::new(SystemConfig {
+            protection: ProtectionChoice::CapChecker(CheckerConfig {
+                entries: 4,
+                ..CheckerConfig::coarse()
+            }),
+            guard_bytes: 64,
+            ..SystemConfig::default()
+        });
+        sys.add_fus("k", 2);
+        let tracer = SharedTracer::new();
+        sys.set_tracer(tracer.clone());
+        let held = |sys: &HeteroSystem| (sys.protection_entries(), sys.alloc.free_bytes());
+
+        let t = sys
+            .allocate_task(&TaskRequest::accel("a", "k").rw_buffers([256, 100]))
+            .unwrap();
+        let before = held(&sys);
+        let err = sys
+            .allocate_task(&TaskRequest::accel("b", "k").rw_buffers([64, 64, 64]))
+            .unwrap_err();
+        assert!(
+            matches!(err, DriverError::ProtectionTableFull(GrantError::TableFull)),
+            "{err:?}"
+        );
+        assert_eq!(held(&sys), before, "the refused task is rolled back whole");
+
+        let narrowed = BufferSpec::rw(512).device(Perms::LOAD);
+        assert_eq!(sys.allocate_buffer(t, narrowed).unwrap(), 2);
+        assert_eq!(sys.allocate_buffer(t, BufferSpec::ro(48)).unwrap(), 3);
+        let before = held(&sys);
+        let err = sys.allocate_buffer(t, BufferSpec::rw(64)).unwrap_err();
+        assert!(
+            matches!(err, DriverError::ProtectionTableFull(GrantError::TableFull)),
+            "{err:?}"
+        );
+        assert_eq!(held(&sys), before, "the refused buffer is rolled back");
+
+        let install =
+            |task: u32, object: u16, ok: bool| EventKind::MmioCapInstall { task, object, ok };
+        let allocate = |task: u32| EventKind::DriverPhase {
+            task,
+            phase: Phase::Allocate,
+        };
+        let events: Vec<(u64, EventKind)> = tracer
+            .snapshot()
+            .events()
+            .iter()
+            .map(|e| (e.cycle, e.kind))
+            .collect();
+        let stall = |task: u32| EventKind::CheckerStall { task };
+        assert_eq!(
+            events,
+            [
+                (0, allocate(1)),
+                (180, install(1, 0, true)),
+                (360, install(1, 1, true)),
+                (420, allocate(2)),
+                (600, install(2, 0, true)),
+                (780, install(2, 1, true)),
+                (960, install(2, 2, false)),
+                (960, stall(2)),
+                (1140, install(1, 2, true)),
+                (1320, install(1, 3, true)),
+                (1500, install(1, 4, false)),
+                (1500, stall(1)),
+            ]
+        );
+        assert_eq!(sys.driver_clock(), 1500);
+        assert_eq!(sys.setup_cycles(t).unwrap(), 780);
+        let layout: Vec<(u64, u64)> = sys
+            .accel_layout(t)
+            .unwrap()
+            .buffers
+            .iter()
+            .map(|b| (b.base, b.size))
+            .collect();
+        // Object-tagged bases; each block is padded and followed by the
+        // 64 guard bytes.
+        let tagged = |obj: u64, addr: u64| obj << 56 | addr;
+        assert_eq!(
+            layout,
+            [
+                (0x10_0000, 256),
+                (tagged(1, 0x10_0140), 100),
+                (tagged(2, 0x10_01f0), 512),
+                (tagged(3, 0x10_0430), 48),
+            ]
+        );
+    }
+
+    #[test]
+    fn oversized_buffers_are_out_of_memory() {
+        let mut sys = fine_system();
+        let err = sys
+            .allocate_task(&TaskRequest::accel("t", "gemm").rw_buffers([u64::MAX]))
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                DriverError::OutOfMemory {
+                    requested: u64::MAX
+                }
+            ),
+            "{err:?}"
+        );
+        let t = sys.allocate_task(&two_buffer_request()).unwrap();
+        let free = sys.alloc.free_bytes();
+        let err = sys
+            .allocate_buffer(t, BufferSpec::rw(u64::MAX))
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                DriverError::OutOfMemory {
+                    requested: u64::MAX
+                }
+            ),
+            "{err:?}"
+        );
+        assert_eq!(sys.alloc.free_bytes(), free);
+        assert_eq!(sys.protection_entries(), 2);
+    }
+
+    #[test]
+    fn growing_a_cpu_task_charges_no_setup_cycles() {
+        let mut sys = fine_system();
+        let t = sys
+            .allocate_task(&TaskRequest::cpu("host").rw_buffers([64]))
+            .unwrap();
+        assert_eq!(sys.allocate_buffer(t, BufferSpec::rw(64)).unwrap(), 1);
+        assert_eq!(sys.setup_cycles(t).unwrap(), 0, "nothing was imported");
+        assert_eq!(sys.driver_clock(), 0);
+        assert_eq!(sys.protection_entries(), 0);
     }
 }

@@ -158,11 +158,11 @@ pub enum McOp {
     Degrade,
     /// Re-promote the degradation-path subject back to the cached design.
     Repromote,
-    /// The epoch-scoped re-install actuator: re-install the retained
-    /// segment's verdicts (filtered to pairs still holding a full grant)
-    /// after a rebuild dropped the installed map — the
-    /// install-after-drop interleaving the adaptive controller performs
-    /// on every mode switch and re-promotion.
+    /// The re-install actuator: re-install the retained segment's
+    /// verdicts (filtered to pairs still holding a full grant) after a
+    /// rebuild dropped the installed map — the install-after-drop
+    /// interleaving a caller of `set_static_verdicts` may perform after
+    /// a mode switch or re-promotion.
     InstallSegmentVerdicts,
 }
 

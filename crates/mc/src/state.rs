@@ -169,8 +169,8 @@ pub struct McState {
     safe: BTreeSet<(u8, u8)>,
     /// The retained analysis segment: the safe set snapshotted by the
     /// last `InstallVerdicts`, surviving rebuilds so
-    /// `InstallSegmentVerdicts` can re-install it — the model of the
-    /// driver's epoch-scoped [`capchecker::SegmentVerdicts`] ledger.
+    /// `InstallSegmentVerdicts` can re-install it into a rebuilt
+    /// checker through [`capchecker::CapChecker::set_static_verdicts`].
     segment: BTreeSet<(u8, u8)>,
     /// Whether verdict maps are installed on the elided subjects.
     maps_live: bool,
@@ -321,10 +321,10 @@ impl McState {
                 self.maps_live = true;
             }
             McOp::InstallSegmentVerdicts => {
-                // The driver's install-after-drop: re-install the
-                // retained segment, filtered to pairs whose full grant
-                // is still live (the verdict's dependency) — revoked or
-                // narrowed pairs fall back to dynamic checking.
+                // Install-after-drop: re-install the retained segment,
+                // filtered to pairs whose full grant is still live (the
+                // verdict's dependency) — revoked or narrowed pairs fall
+                // back to dynamic checking.
                 let mut map = StaticVerdictMap::new();
                 self.safe.clear();
                 for &(t, o) in &self.segment {

@@ -167,10 +167,6 @@ fn write_event(w: &mut JsonWriter, event: &Event) {
                     w.key("cleared");
                     w.u64(cleared);
                 }
-                EventKind::WorkerPanic { worker } => {
-                    w.key("worker");
-                    w.u64(u64::from(worker));
-                }
                 EventKind::ConformanceDivergence { op } => {
                     w.key("op");
                     w.u64(op);
@@ -205,8 +201,7 @@ fn write_event(w: &mut JsonWriter, event: &Event) {
                     w.key("units");
                     w.u64(units);
                 }
-                EventKind::StaticVerdictsInstalled { safe_pairs }
-                | EventKind::SegmentVerdictsReinstalled { safe_pairs } => {
+                EventKind::StaticVerdictsInstalled { safe_pairs } => {
                     w.key("safe_pairs");
                     w.u64(safe_pairs);
                 }

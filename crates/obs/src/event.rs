@@ -276,14 +276,6 @@ pub enum EventKind {
         /// Forged tags found and cleared.
         cleared: u64,
     },
-    /// A parallel-harness worker thread panicked. Recorded by the worker
-    /// pool on the coordinating thread before the panic payload is
-    /// rethrown, so the failure is on the record even when the process
-    /// unwinds.
-    WorkerPanic {
-        /// Index of the panicking worker thread.
-        worker: u32,
-    },
     /// The differential conformance harness saw an implementation
     /// disagree with the golden oracle on one operation.
     ConformanceDivergence {
@@ -323,13 +315,6 @@ pub enum EventKind {
     /// protection mechanism, enabling check elision.
     StaticVerdictsInstalled {
         /// `(task, object)` pairs the map marks statically safe.
-        safe_pairs: u64,
-    },
-    /// The driver re-installed the retained segment verdict map after a
-    /// checker rebuild (mode switch or re-promotion), restoring elision
-    /// that the rebuild dropped.
-    SegmentVerdictsReinstalled {
-        /// `(task, object)` pairs the re-installed map marks safe.
         safe_pairs: u64,
     },
     /// A task retired with per-beat checks elided by static verdicts.
@@ -428,13 +413,11 @@ impl EventKind {
             EventKind::EngineQuarantined { .. } => "engine_quarantined",
             EventKind::CheckerDegraded { .. } => "checker_degraded",
             EventKind::TagAudit { .. } => "tag_audit",
-            EventKind::WorkerPanic { .. } => "worker_panic",
             EventKind::ConformanceDivergence { .. } => "conformance_divergence",
             EventKind::ConformanceComplete { .. } => "conformance_complete",
             EventKind::AnalysisComplete { .. } => "analysis_complete",
             EventKind::FlowAnalysisComplete { .. } => "flow_analysis_complete",
             EventKind::StaticVerdictsInstalled { .. } => "static_verdicts_installed",
-            EventKind::SegmentVerdictsReinstalled { .. } => "segment_verdicts_reinstalled",
             EventKind::ChecksElided { .. } => "checks_elided",
             EventKind::AdaptDecision { .. } => "adapt_decision",
             EventKind::ProbationStarted { .. } => "probation_started",
@@ -466,14 +449,12 @@ impl EventKind {
             | EventKind::EngineQuarantined { .. }
             | EventKind::CheckerDegraded { .. }
             | EventKind::TagAudit { .. } => "recovery",
-            EventKind::WorkerPanic { .. } => "harness",
             EventKind::ConformanceDivergence { .. } | EventKind::ConformanceComplete { .. } => {
                 "conformance"
             }
             EventKind::AnalysisComplete { .. }
             | EventKind::FlowAnalysisComplete { .. }
             | EventKind::StaticVerdictsInstalled { .. }
-            | EventKind::SegmentVerdictsReinstalled { .. }
             | EventKind::ChecksElided { .. } => "analysis",
             EventKind::AdaptDecision { .. }
             | EventKind::ProbationStarted { .. }

@@ -22,10 +22,9 @@
 //!
 //! A panicking worker must not take the harness down with a cascade of
 //! poisoned locks or a torn merge. The pool joins every worker, keeps the
-//! first panic (lowest worker index, for determinism), records it as an
-//! [`EventKind::WorkerPanic`] obs event on the *coordinating* thread, and
-//! returns it as a single clean [`WorkerPanic`] error that still carries
-//! the original payload for [`WorkerPanic::resume`].
+//! first panic (lowest worker index, for determinism), and returns it as
+//! a single clean [`WorkerPanic`] error that still carries the original
+//! payload for [`WorkerPanic::resume`].
 //!
 //! ```
 //! let squares = perf::parallel_map(4, 10, |i| i * i).unwrap();
@@ -35,7 +34,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-use obs::{EventKind, NullTracer, Tracer};
 use std::any::Any;
 use std::error::Error;
 use std::fmt;
@@ -137,29 +135,6 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    parallel_map_traced(threads, cells, &mut NullTracer, f)
-}
-
-/// [`parallel_map`], recording any worker panic as an
-/// [`EventKind::WorkerPanic`] obs event before returning the error.
-///
-/// The event is recorded on the coordinating thread after all workers are
-/// joined — [`obs::SharedTracer`] is `Rc`-based and must never cross into
-/// a worker.
-///
-/// # Errors
-///
-/// Same as [`parallel_map`].
-pub fn parallel_map_traced<T, F>(
-    threads: usize,
-    cells: usize,
-    tracer: &mut dyn Tracer,
-    f: F,
-) -> Result<Vec<T>, WorkerPanic>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
     /// One worker's take: its `(index, result)` pairs, or its panic payload.
     type WorkerOutcome<T> = Result<Vec<(usize, T)>, Box<dyn Any + Send>>;
 
@@ -168,8 +143,6 @@ where
     // keep more per-cell working sets resident at once. The merge is
     // index-ordered, so the output is byte-identical for any worker
     // count and the clamp is invisible except in wall time.
-    // (`parallel_map_profiled` deliberately skips this clamp so the
-    // breakdown can demonstrate oversubscription.)
     let workers = threads.max(1).min(cells.max(1)).min(host_threads());
     let next = AtomicUsize::new(0);
     let f = &f;
@@ -217,12 +190,6 @@ where
     }
 
     if let Some(panic) = first_panic {
-        tracer.record(
-            0,
-            EventKind::WorkerPanic {
-                worker: panic.worker,
-            },
-        );
         return Err(panic);
     }
 
@@ -232,210 +199,9 @@ where
         .collect())
 }
 
-/// One worker's share of a profiled pool run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WorkerProfile {
-    /// Cells this worker computed.
-    pub items: u64,
-    /// Host nanoseconds spent inside `f`.
-    pub busy_ns: u64,
-    /// Host nanoseconds from the worker's first to last action (claiming,
-    /// computing, and banking results). `wall_ns - busy_ns` is the
-    /// worker's scheduling/contention overhead.
-    pub wall_ns: u64,
-}
-
-/// The per-worker breakdown [`parallel_map_profiled`] returns alongside
-/// the results — the diagnostic view of how the pool actually ran.
-///
-/// Everything here is host wall-clock (the diagnostic domain): it never
-/// feeds a serialized report, only human-readable output. The *results*
-/// of a profiled run are still byte-identical to [`parallel_map`]'s.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct PoolProfile {
-    /// Workers the caller asked for.
-    pub requested_workers: usize,
-    /// Workers actually spawned (requested, clamped to the cell count
-    /// only — **not** to the host, so oversubscription stays visible).
-    pub spawned_workers: usize,
-    /// Host threads available when the pool ran.
-    pub host_threads: usize,
-    /// Per-worker breakdown, by worker index.
-    pub workers: Vec<WorkerProfile>,
-    /// Host nanoseconds the coordinator spent merging results.
-    pub merge_ns: u64,
-    /// Host nanoseconds for the whole call.
-    pub wall_ns: u64,
-}
-
-impl PoolProfile {
-    /// `true` when more workers ran than the host has threads — the
-    /// configuration the production pool's clamp exists to avoid.
-    #[must_use]
-    pub fn oversubscribed(&self) -> bool {
-        self.spawned_workers > self.host_threads
-    }
-
-    /// Host nanoseconds spent inside `f`, summed over workers.
-    #[must_use]
-    pub fn busy_ns(&self) -> u64 {
-        self.workers.iter().map(|w| w.busy_ns).sum()
-    }
-
-    /// The breakdown as indented human-readable text.
-    #[must_use]
-    pub fn render(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "pool: {} requested, {} spawned, host has {} thread(s){}",
-            self.requested_workers,
-            self.spawned_workers,
-            self.host_threads,
-            if self.oversubscribed() {
-                " [oversubscribed]"
-            } else {
-                ""
-            }
-        );
-        for (i, w) in self.workers.iter().enumerate() {
-            let busy_pct = if w.wall_ns == 0 {
-                0.0
-            } else {
-                w.busy_ns as f64 / w.wall_ns as f64 * 100.0
-            };
-            let _ = writeln!(
-                out,
-                "  worker {i}: {} items, busy {:.1}ms of {:.1}ms ({busy_pct:.0}%)",
-                w.items,
-                w.busy_ns as f64 / 1e6,
-                w.wall_ns as f64 / 1e6,
-            );
-        }
-        let _ = writeln!(
-            out,
-            "  merge {:.1}ms, total wall {:.1}ms",
-            self.merge_ns as f64 / 1e6,
-            self.wall_ns as f64 / 1e6,
-        );
-        out
-    }
-}
-
-/// [`parallel_map_traced`] with a per-worker host-time breakdown — the
-/// tool for diagnosing *the pool itself* (idle workers, oversubscription,
-/// merge cost). Unlike the production path this does **not** clamp the
-/// worker count to the host's threads: running 4 workers on 1 core is
-/// exactly the pathology the profile exists to show.
-///
-/// The result `Vec` is byte-identical to [`parallel_map`]'s for the same
-/// inputs; only the [`PoolProfile`] varies run to run.
-///
-/// # Errors
-///
-/// Same as [`parallel_map`].
-pub fn parallel_map_profiled<T, F>(
-    threads: usize,
-    cells: usize,
-    tracer: &mut dyn Tracer,
-    f: F,
-) -> Result<(Vec<T>, PoolProfile), WorkerPanic>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    type WorkerOutcome<T> = Result<(Vec<(usize, T)>, WorkerProfile), Box<dyn Any + Send>>;
-
-    let t_start = std::time::Instant::now();
-    let requested = threads.max(1);
-    let workers = requested.min(cells.max(1));
-    let next = AtomicUsize::new(0);
-    let f = &f;
-    let next = &next;
-
-    let joined: Vec<WorkerOutcome<T>> = thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(move || {
-                    let w_start = std::time::Instant::now();
-                    let mut prof = WorkerProfile::default();
-                    let mut out = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= cells {
-                            break;
-                        }
-                        let t0 = std::time::Instant::now();
-                        let value = f(i);
-                        prof.busy_ns += t0.elapsed().as_nanos() as u64;
-                        prof.items += 1;
-                        out.push((i, value));
-                    }
-                    prof.wall_ns = w_start.elapsed().as_nanos() as u64;
-                    (out, prof)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(thread::ScopedJoinHandle::join)
-            .collect()
-    });
-
-    let t_merge = std::time::Instant::now();
-    let mut slots: Vec<Option<T>> = (0..cells).map(|_| None).collect();
-    let mut profile = PoolProfile {
-        requested_workers: requested,
-        spawned_workers: workers,
-        host_threads: host_threads(),
-        workers: Vec::with_capacity(workers),
-        merge_ns: 0,
-        wall_ns: 0,
-    };
-    let mut first_panic: Option<WorkerPanic> = None;
-    for (worker, outcome) in joined.into_iter().enumerate() {
-        match outcome {
-            Ok((results, wprof)) => {
-                for (i, value) in results {
-                    slots[i] = Some(value);
-                }
-                profile.workers.push(wprof);
-            }
-            Err(payload) => {
-                profile.workers.push(WorkerProfile::default());
-                if first_panic.is_none() {
-                    #[allow(clippy::cast_possible_truncation)]
-                    let worker = worker as u32;
-                    first_panic = Some(WorkerPanic::from_payload(worker, payload));
-                }
-            }
-        }
-    }
-
-    if let Some(panic) = first_panic {
-        tracer.record(
-            0,
-            EventKind::WorkerPanic {
-                worker: panic.worker,
-            },
-        );
-        return Err(panic);
-    }
-
-    let out = slots
-        .into_iter()
-        .map(|slot| slot.expect("every cell index was claimed by exactly one worker"))
-        .collect();
-    profile.merge_ns = t_merge.elapsed().as_nanos() as u64;
-    profile.wall_ns = t_start.elapsed().as_nanos() as u64;
-    Ok((out, profile))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use obs::TraceBuffer;
 
     #[test]
     fn matches_sequential_map_for_any_thread_count() {
@@ -465,21 +231,6 @@ mod tests {
     }
 
     #[test]
-    fn worker_panic_is_recorded_as_an_obs_event() {
-        let mut buf = TraceBuffer::new();
-        let err = parallel_map_traced(2, 4, &mut buf, |i| {
-            assert!(i != 2, "boom");
-            i
-        })
-        .unwrap_err();
-        assert_eq!(buf.len(), 1);
-        match buf.events()[0].kind {
-            EventKind::WorkerPanic { worker } => assert_eq!(worker, err.worker),
-            other => panic!("unexpected event {other:?}"),
-        }
-    }
-
-    #[test]
     fn resume_rethrows_the_original_payload() {
         let err = parallel_map(2, 2, |i| {
             assert!(i != 1, "original payload");
@@ -504,42 +255,6 @@ mod tests {
     fn auto_threads_is_at_least_one() {
         assert!(auto_threads() >= 1);
         assert!(host_threads() >= 1);
-    }
-
-    #[test]
-    fn profiled_results_match_plain_and_account_every_item() {
-        for threads in [1, 3, 8] {
-            let expected = parallel_map(threads, 23, |i| i * 7).unwrap();
-            let (got, prof) =
-                parallel_map_profiled(threads, 23, &mut NullTracer, |i| i * 7).unwrap();
-            assert_eq!(got, expected, "threads={threads}");
-            assert_eq!(prof.requested_workers, threads);
-            assert_eq!(prof.workers.len(), prof.spawned_workers);
-            let items: u64 = prof.workers.iter().map(|w| w.items).sum();
-            assert_eq!(items, 23, "every cell attributed to exactly one worker");
-        }
-    }
-
-    #[test]
-    fn profiled_pool_does_not_hide_oversubscription() {
-        // Ask for far more workers than any host has: the profile must
-        // show them all spawned (that visibility is its whole point).
-        let (_, prof) = parallel_map_profiled(1024, 2048, &mut NullTracer, |i| i).unwrap();
-        assert_eq!(prof.spawned_workers, 1024);
-        assert!(prof.oversubscribed());
-        let text = prof.render();
-        assert!(text.contains("[oversubscribed]"), "{text}");
-        assert!(text.contains("worker 0:"), "{text}");
-    }
-
-    #[test]
-    fn profiled_panic_is_the_same_clean_error() {
-        let err = parallel_map_profiled(4, 8, &mut NullTracer, |i| {
-            assert!(i != 3, "profiled boom");
-            i
-        })
-        .unwrap_err();
-        assert!(err.message.contains("profiled boom"), "{err}");
     }
 
     #[test]
