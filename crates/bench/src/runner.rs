@@ -7,8 +7,8 @@ use capchecker::{
 };
 use capcheri_analyze::{declared_perms, BenchAnalysis};
 use hetsim::timing::{
-    simulate_accel_system_prof, simulate_cpu, simulate_cpu_prof, AccelTask, AccelTimingConfig,
-    BusConfig, CpuTiming,
+    simulate_accel_system_prof, simulate_cpu, simulate_cpu_prof, simulate_wheel_prof, AccelTask,
+    AccelTimingConfig, BusConfig, CpuTiming, Wheel,
 };
 use hetsim::{Cycles, Denial, Trace};
 use machsuite::Benchmark;
@@ -148,8 +148,7 @@ impl fmt::Display for RunError {
 impl std::error::Error for RunError {}
 
 /// Builds the system, executes the kernel(s) functionally through the
-/// protected path, and costs the recorded trace(s) under the variant's
-/// timing model.
+/// protected path, and costs them under the variant's timing model.
 ///
 /// # Panics
 ///
@@ -171,6 +170,12 @@ pub fn run_benchmark(
 }
 
 /// Runs one cell as `spec` describes.
+///
+/// An accelerator cell folds each kernel op into the event wheel as the
+/// kernel runs, unless the spec observes the run: the workload stats and
+/// L1 metrics of an observed run read the first task's trace, so it
+/// records traces and costs them. CPU cells always record, since the
+/// cache model needs addresses. Either way the cycles are the same.
 ///
 /// # Errors
 ///
@@ -207,6 +212,25 @@ pub fn run(spec: &RunSpec<'_>) -> Result<RunOutcome, RunError> {
         sys.enable_check_attribution();
     }
 
+    let profile = bench.profile();
+    let accel_cfg = AccelTimingConfig {
+        lanes: profile.lanes,
+        compute_per_cycle: profile.compute_per_cycle,
+        outstanding: profile.outstanding,
+    };
+    let bus = if variant == SystemVariant::CheriCpuCheriAccel {
+        // When the analyzer proved every port safe, the checker's
+        // pipeline stage drops off the request path — that cycle is
+        // the figure-level payoff of static elision.
+        if elide.is_some_and(BenchAnalysis::all_safe) {
+            BusConfig::default().with_checker(0)
+        } else {
+            BusConfig::default().with_checker(CHECKER_PIPELINE_LATENCY)
+        }
+    } else {
+        BusConfig::default()
+    };
+    let mut wheel = (variant.uses_accelerator() && !spec.observe).then(|| Wheel::new(bus));
     let mut traces: Vec<Trace> = Vec::with_capacity(tasks);
     let mut setups: Vec<Cycles> = Vec::with_capacity(tasks);
     let mut ids = Vec::with_capacity(tasks);
@@ -236,7 +260,15 @@ pub fn run(spec: &RunSpec<'_>) -> Result<RunOutcome, RunError> {
             sys.write_buffer(id, obj, 0, image)
                 .map_err(RunError::Driver)?;
         }
-        let outcome = if variant.uses_accelerator() {
+        let setup = sys.setup_cycles(id).map_err(RunError::Driver)?;
+        let outcome = if let Some(open) = wheel.take() {
+            let folder = open.task(accel_cfg, setup);
+            let (folder, outcome) = sys
+                .run_accel_task_with(id, folder, |eng| bench.kernel(eng))
+                .map_err(RunError::Driver)?;
+            wheel = Some(folder.finish());
+            outcome
+        } else if variant.uses_accelerator() {
             sys.run_accel_task(id, |eng| bench.kernel(eng))
         } else {
             sys.run_cpu_task(id, |eng| bench.kernel(eng))
@@ -245,12 +277,14 @@ pub fn run(spec: &RunSpec<'_>) -> Result<RunOutcome, RunError> {
         if let Some(denial) = outcome.denial {
             return Err(RunError::Denied(denial));
         }
-        setups.push(sys.setup_cycles(id).map_err(RunError::Driver)?);
-        traces.push(
-            sys.take_trace(id)
-                .map_err(RunError::Driver)?
-                .ok_or(RunError::NoTrace)?,
-        );
+        setups.push(setup);
+        if wheel.is_none() {
+            traces.push(
+                sys.take_trace(id)
+                    .map_err(RunError::Driver)?
+                    .ok_or(RunError::NoTrace)?,
+            );
+        }
         ids.push(id);
     }
 
@@ -271,35 +305,23 @@ pub fn run(spec: &RunSpec<'_>) -> Result<RunOutcome, RunError> {
     };
 
     let mut registry = observe.as_ref().map(|_| Registry::new());
-    let profile = bench.profile();
     let checks_elided = sys.checks_elided();
     let result = if variant.uses_accelerator() {
-        let bus = if variant == SystemVariant::CheriCpuCheriAccel {
-            // When the analyzer proved every port safe, the checker's
-            // pipeline stage drops off the request path — that cycle is
-            // the figure-level payoff of static elision.
-            if elide.is_some_and(BenchAnalysis::all_safe) {
-                BusConfig::default().with_checker(0)
-            } else {
-                BusConfig::default().with_checker(CHECKER_PIPELINE_LATENCY)
+        let report = match wheel {
+            Some(wheel) => simulate_wheel_prof(wheel, tracer, prof),
+            None => {
+                let accel_tasks: Vec<AccelTask<'_>> = traces
+                    .iter()
+                    .zip(&setups)
+                    .map(|(trace, &start)| AccelTask {
+                        trace,
+                        cfg: accel_cfg,
+                        start,
+                    })
+                    .collect();
+                simulate_accel_system_prof(&accel_tasks, &bus, tracer, prof)
             }
-        } else {
-            BusConfig::default()
         };
-        let accel_tasks: Vec<AccelTask<'_>> = traces
-            .iter()
-            .zip(&setups)
-            .map(|(trace, start)| AccelTask {
-                trace,
-                cfg: AccelTimingConfig {
-                    lanes: profile.lanes,
-                    compute_per_cycle: profile.compute_per_cycle,
-                    outstanding: profile.outstanding,
-                },
-                start: *start,
-            })
-            .collect();
-        let report = simulate_accel_system_prof(&accel_tasks, &bus, tracer, prof);
         if let Some(reg) = registry.as_mut() {
             reg.counter_add("bus.beats", report.bus_beats);
             for cycles in &report.per_task {
@@ -345,7 +367,7 @@ pub fn run(spec: &RunSpec<'_>) -> Result<RunOutcome, RunError> {
 
     // Figure 6 ②: return every task through the driver's deallocation
     // path (evictions, register clears, scrub). Cycles were already
-    // costed from the traces, so this cannot perturb the results.
+    // costed, so this cannot perturb the results.
     let attribution = sys.check_attribution().cloned();
     let cache = sys.checker().and_then(CapChecker::cache_stats);
     for id in ids {

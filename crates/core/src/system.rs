@@ -25,7 +25,7 @@ use crate::engines::{CapRegs, Provenance, Vet};
 use cheri::{compressed, Capability, CapabilityTree, NodeId, ObjectKind, Perms};
 use hetsim::mmio::RegisterFile;
 use hetsim::{
-    Cycles, Denial, Engine, ExecFault, MasterId, MemEngine, ObjectId, TaggedMemory, TaskId,
+    Cycles, Denial, Engine, ExecFault, MasterId, MemEngine, ObjectId, Record, TaggedMemory, TaskId,
     TaskLayout, Trace,
 };
 use ioprotect::{
@@ -978,23 +978,9 @@ impl HeteroSystem {
         offset: u64,
         data: &[u8],
     ) -> Result<(), DriverError> {
-        let st = self
-            .tasks
-            .get(&task)
-            .ok_or(DriverError::UnknownTask(task))?;
-        let &Block { base, size, .. } = st
-            .blocks
-            .get(obj)
-            .ok_or(DriverError::HostAccessOutOfBounds)?;
-        if self.config.cheri_cpu {
-            st.caps[obj]
-                .check_access(base + offset, data.len() as u64, Perms::STORE)
-                .map_err(|_| DriverError::HostAccessOutOfBounds)?;
-        } else if offset + data.len() as u64 > size {
-            return Err(DriverError::HostAccessOutOfBounds);
-        }
+        let addr = self.host_address(task, obj, offset, data.len() as u64, Perms::STORE)?;
         self.mem
-            .write_bytes(base + offset, data)
+            .write_bytes(addr, data)
             .map_err(|_| DriverError::HostAccessOutOfBounds)
     }
 
@@ -1010,21 +996,41 @@ impl HeteroSystem {
         offset: u64,
         out: &mut [u8],
     ) -> Result<(), DriverError> {
+        let addr = self.host_address(task, obj, offset, out.len() as u64, Perms::LOAD)?;
+        self.mem
+            .read_bytes(addr, out)
+            .map_err(|_| DriverError::HostAccessOutOfBounds)
+    }
+
+    /// Where a host access of `len` bytes at `offset` in the task's
+    /// object `obj` lands, once the host may make it: on a CHERI CPU the
+    /// buffer's capability must grant `needed` over the range, on a plain
+    /// CPU the range must lie within the buffer. An offset or length so
+    /// large that the range wraps is out of bounds, not a wrapped address.
+    fn host_address(
+        &self,
+        task: TaskId,
+        obj: usize,
+        offset: u64,
+        len: u64,
+        needed: Perms,
+    ) -> Result<u64, DriverError> {
         let st = self.state(task)?;
         let &Block { base, size, .. } = st
             .blocks
             .get(obj)
             .ok_or(DriverError::HostAccessOutOfBounds)?;
+        let addr = base
+            .checked_add(offset)
+            .ok_or(DriverError::HostAccessOutOfBounds)?;
         if self.config.cheri_cpu {
             st.caps[obj]
-                .check_access(base + offset, out.len() as u64, Perms::LOAD)
+                .check_access(addr, len, needed)
                 .map_err(|_| DriverError::HostAccessOutOfBounds)?;
-        } else if offset + out.len() as u64 > size {
+        } else if offset.checked_add(len).is_none_or(|end| end > size) {
             return Err(DriverError::HostAccessOutOfBounds);
         }
-        self.mem
-            .read_bytes(base + offset, out)
-            .map_err(|_| DriverError::HostAccessOutOfBounds)
+        Ok(addr)
     }
 
     /// Runs `kernel` on the task's accelerator FU through the protected
@@ -1039,6 +1045,33 @@ impl HeteroSystem {
     /// [`TaskOutcome`].
     pub fn run_accel_task<F>(&mut self, task: TaskId, kernel: F) -> Result<TaskOutcome, DriverError>
     where
+        F: FnOnce(&mut dyn Engine) -> Result<(), ExecFault>,
+    {
+        let (trace, outcome) = self.run_accel_task_with(task, Trace::new(), kernel)?;
+        self.keep_trace(task, trace)?;
+        outcome
+    }
+
+    /// [`HeteroSystem::run_accel_task`], handing each operation to `rec`
+    /// instead of a kept trace (a
+    /// [`LaneFolder`](hetsim::timing::LaneFolder) times the run without
+    /// storing it). Hands `rec` back with the run's outcome, which is
+    /// what [`HeteroSystem::run_accel_task`] returns; the task keeps no
+    /// trace of this run.
+    ///
+    /// # Errors
+    ///
+    /// [`DriverError::NotAnAcceleratorTask`] for CPU tasks and
+    /// [`DriverError::UnknownTask`] for dead handles, when the kernel
+    /// does not run at all. How a kernel that ran ended is the outcome.
+    pub fn run_accel_task_with<R, F>(
+        &mut self,
+        task: TaskId,
+        rec: R,
+        kernel: F,
+    ) -> Result<(R, Result<TaskOutcome, DriverError>), DriverError>
+    where
+        R: Record,
         F: FnOnce(&mut dyn Engine) -> Result<(), ExecFault>,
     {
         let st = self
@@ -1067,11 +1100,11 @@ impl HeteroSystem {
             provenance,
             self.tracer.clone(),
         );
-        let mut eng = MemEngine::gated(&mut self.mem, layout, gate);
+        let mut eng = MemEngine::recording(&mut self.mem, layout, gate, rec);
         let result = kernel(&mut eng);
         let denial = eng.first_denial();
-        let trace = eng.into_trace();
-        self.finish_run(task, result, denial, trace)
+        let rec = eng.into_recorder();
+        Ok((rec, self.finish_run(task, result, denial)))
     }
 
     /// Runs `kernel` on the CPU (the `cpu`/`ccpu` configurations). On a
@@ -1102,26 +1135,27 @@ impl HeteroSystem {
         let result = kernel(&mut eng);
         let denial = eng.first_denial();
         let trace = eng.into_trace();
-        self.finish_run(task, result, denial, trace)
+        let outcome = self.finish_run(task, result, denial);
+        self.keep_trace(task, trace)?;
+        outcome
     }
 
-    /// The tail both run paths share: keeps the trace, latches `denial`
-    /// as the task's fault, and reports how the kernel ended. A refused
-    /// access is an outcome; any other fault aborted the kernel part-way
-    /// and is an error, so a truncated trace is never taken for a
-    /// completed run.
+    /// The tail both run paths share: drops the task's previous trace,
+    /// latches `denial` as the task's fault, and reports how the kernel
+    /// ended. A refused access is an outcome; any other fault aborted the
+    /// kernel part-way and is an error, so a truncated trace is never
+    /// taken for a completed run.
     fn finish_run(
         &mut self,
         task: TaskId,
         result: Result<(), ExecFault>,
         denial: Option<Denial>,
-        trace: Trace,
     ) -> Result<TaskOutcome, DriverError> {
         let st = self
             .tasks
             .get_mut(&task)
             .ok_or(DriverError::UnknownTask(task))?;
-        st.trace = Some(trace);
+        st.trace = None;
         if let Some(d) = denial {
             st.fault = Some(d);
         }
@@ -1133,7 +1167,18 @@ impl HeteroSystem {
         }
     }
 
-    /// The trace recorded by the task's last run.
+    /// Keeps `trace` as the one the task's last run recorded.
+    fn keep_trace(&mut self, task: TaskId, trace: Trace) -> Result<(), DriverError> {
+        let st = self
+            .tasks
+            .get_mut(&task)
+            .ok_or(DriverError::UnknownTask(task))?;
+        st.trace = Some(trace);
+        Ok(())
+    }
+
+    /// The trace recorded by the task's last run (`None` before its first
+    /// run, and after a run through [`HeteroSystem::run_accel_task_with`]).
     ///
     /// # Errors
     ///
@@ -1628,6 +1673,35 @@ mod tests {
         assert!(sys.write_buffer(t, 0, 0, &[1; 256]).is_ok());
         let err = sys.write_buffer(t, 0, 255, &[1, 2]).unwrap_err();
         assert!(matches!(err, DriverError::HostAccessOutOfBounds));
+    }
+
+    #[test]
+    fn wrapping_host_accesses_are_out_of_bounds() {
+        for cheri_cpu in [false, true] {
+            let mut sys = HeteroSystem::new(SystemConfig {
+                cheri_cpu,
+                ..SystemConfig::default()
+            });
+            let t = sys
+                .allocate_task(&TaskRequest::cpu("host").rw_buffers([256, 256]))
+                .unwrap();
+            let before = [0x5a; 256];
+            sys.write_buffer(t, 0, 0, &before).unwrap();
+            // `base + offset` wraps to a byte below object 1, and at
+            // `u64::MAX` the end `offset + len` wraps to zero as well.
+            for offset in [u64::MAX, u64::MAX - 1] {
+                let err = sys.write_buffer(t, 1, offset, &[0xAB]).unwrap_err();
+                assert!(
+                    matches!(err, DriverError::HostAccessOutOfBounds),
+                    "cheri_cpu {cheri_cpu}, offset {offset:#x}: {err}"
+                );
+                let err = sys.read_buffer(t, 1, offset, &mut [0]).unwrap_err();
+                assert!(matches!(err, DriverError::HostAccessOutOfBounds));
+            }
+            let mut after = [0; 256];
+            sys.read_buffer(t, 0, 0, &mut after).unwrap();
+            assert_eq!(after, before, "cheri_cpu {cheri_cpu}: object 0 changed");
+        }
     }
 
     #[test]

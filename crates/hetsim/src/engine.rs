@@ -4,12 +4,17 @@
 //! every target: the CPU model, an unprotected accelerator, or an
 //! accelerator behind the CapChecker or a baseline protection mechanism.
 //! An engine performs *functional* memory accesses (so protection faults
-//! really happen) and records a [`Trace`] for the timing models.
+//! really happen) and hands each operation to a [`Record`] for the timing
+//! models.
 //!
 //! Every target reaches memory through one engine, [`MemEngine`], and
 //! differs only in the [`Gate`] in front of it: [`Ungated`] here
 //! ([`DirectEngine`]), and the CPU's capability registers or the
-//! accelerator's protection mechanism in the `capchecker` crate.
+//! accelerator's protection mechanism in the `capchecker` crate. What the
+//! engine records into is a type parameter too: a [`Trace`] by default,
+//! which keeps every op for any timing model, or a
+//! [`LaneFolder`](crate::timing::LaneFolder), which folds each op into the
+//! accelerator event wheel as it happens and keeps nothing else.
 
 use crate::bus::{AccessKind, Denial};
 use crate::memory::{MemError, TaggedMemory};
@@ -67,7 +72,7 @@ impl From<MemError> for ExecFault {
 /// task's numbered objects (buffers).
 ///
 /// Offsets are object-relative; the engine owns the object→address binding,
-/// the protection path, and the trace.
+/// the protection path, and what records the ops.
 pub trait Engine {
     /// Loads `size` (≤ 8) bytes at `offset` within object `obj`.
     ///
@@ -376,18 +381,57 @@ impl Gate for Ungated {
     }
 }
 
+/// Where an engine puts what a kernel did: one call per completed
+/// access, copy or run of data-path work, in program order.
+///
+/// [`Trace`] keeps the ops for any timing model;
+/// [`LaneFolder`](crate::timing::LaneFolder) folds them straight into the
+/// accelerator event wheel. The engine is generic over its recorder, so
+/// the recorder an engine does not use costs it nothing.
+pub trait Record {
+    /// A memory access of `bytes` at physical `addr` on object `object`.
+    fn mem(&mut self, addr: u64, bytes: u16, write: bool, object: u16);
+    /// `units` of data-path work.
+    fn compute(&mut self, units: u64);
+    /// A bulk copy of `bytes` from physical `src` to physical `dst`.
+    fn copy(&mut self, src: u64, dst: u64, bytes: u64);
+}
+
+impl Record for Trace {
+    #[inline]
+    fn mem(&mut self, addr: u64, bytes: u16, write: bool, object: u16) {
+        self.push(TraceOp::Mem {
+            addr,
+            bytes,
+            write,
+            object,
+        });
+    }
+
+    #[inline]
+    fn compute(&mut self, units: u64) {
+        self.push(TraceOp::Compute(units));
+    }
+
+    #[inline]
+    fn copy(&mut self, src: u64, dst: u64, bytes: u64) {
+        self.push(TraceOp::Copy { src, dst, bytes });
+    }
+}
+
 /// The engine over [`TaggedMemory`]: each access resolves its object
 /// offset through the task's layout, passes the gate, touches memory and
-/// is recorded in the trace. Writes clear the capability tags they cover,
-/// so no data path can leave a valid capability behind. The first access
-/// any gate refuses is latched, so a kernel that swallows the fault is
-/// still reported denied.
+/// is handed to the recorder `R` (a [`Trace`] unless the engine was built
+/// [`MemEngine::recording`] into something else). Writes clear the
+/// capability tags they cover, so no data path can leave a valid
+/// capability behind. The first access any gate refuses is latched, so a
+/// kernel that swallows the fault is still reported denied.
 #[derive(Debug)]
-pub struct MemEngine<'m, G> {
+pub struct MemEngine<'m, G, R: Record = Trace> {
     mem: &'m mut TaggedMemory,
     layout: TaskLayout,
     gate: G,
-    trace: Trace,
+    rec: R,
     first_denial: Option<Denial>,
 }
 
@@ -405,13 +449,38 @@ impl<'m> DirectEngine<'m> {
 
 impl<'m, G: Gate> MemEngine<'m, G> {
     /// Creates an engine over `mem` with the given object binding, every
-    /// access of which must pass `gate`.
+    /// access of which must pass `gate`, recording a [`Trace`].
     pub fn gated(mem: &'m mut TaggedMemory, layout: TaskLayout, gate: G) -> MemEngine<'m, G> {
+        MemEngine::recording(mem, layout, gate, Trace::new())
+    }
+
+    /// The trace recorded so far.
+    #[must_use]
+    pub fn trace(&self) -> &Trace {
+        &self.rec
+    }
+
+    /// Consumes the engine, returning the trace.
+    #[must_use]
+    pub fn into_trace(self) -> Trace {
+        self.rec
+    }
+}
+
+impl<'m, G: Gate, R: Record> MemEngine<'m, G, R> {
+    /// Creates an engine over `mem` with the given object binding, every
+    /// access of which must pass `gate`, recording into `rec`.
+    pub fn recording(
+        mem: &'m mut TaggedMemory,
+        layout: TaskLayout,
+        gate: G,
+        rec: R,
+    ) -> MemEngine<'m, G, R> {
         MemEngine {
             mem,
             layout,
             gate,
-            trace: Trace::new(),
+            rec,
             first_denial: None,
         }
     }
@@ -423,16 +492,10 @@ impl<'m, G: Gate> MemEngine<'m, G> {
         self.first_denial
     }
 
-    /// The trace recorded so far.
+    /// Consumes the engine, handing back its recorder.
     #[must_use]
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    /// Consumes the engine, returning the trace.
-    #[must_use]
-    pub fn into_trace(self) -> Trace {
-        self.trace
+    pub fn into_recorder(self) -> R {
+        self.rec
     }
 
     #[inline]
@@ -452,19 +515,14 @@ impl<'m, G: Gate> MemEngine<'m, G> {
     }
 }
 
-impl<G: Gate> Engine for MemEngine<'_, G> {
+impl<G: Gate, R: Record> Engine for MemEngine<'_, G, R> {
     crate::impl_typed_engine_helpers!();
 
     #[inline]
     fn load(&mut self, obj: usize, offset: u64, size: u8) -> Result<u64, ExecFault> {
         let addr = self.pass(obj, offset, u64::from(size), AccessKind::Read)?;
         let v = self.mem.read_uint(addr, size)?;
-        self.trace.push(TraceOp::Mem {
-            addr,
-            bytes: u16::from(size),
-            write: false,
-            object: obj as u16,
-        });
+        self.rec.mem(addr, u16::from(size), false, obj as u16);
         Ok(v)
     }
 
@@ -472,19 +530,14 @@ impl<G: Gate> Engine for MemEngine<'_, G> {
     fn store(&mut self, obj: usize, offset: u64, size: u8, value: u64) -> Result<(), ExecFault> {
         let addr = self.pass(obj, offset, u64::from(size), AccessKind::Write)?;
         self.mem.write_uint(addr, size, value)?;
-        self.trace.push(TraceOp::Mem {
-            addr,
-            bytes: u16::from(size),
-            write: true,
-            object: obj as u16,
-        });
+        self.rec.mem(addr, u16::from(size), true, obj as u16);
         Ok(())
     }
 
     #[inline]
     fn compute(&mut self, units: u64) {
         if units > 0 {
-            self.trace.push(TraceOp::Compute(units));
+            self.rec.compute(units);
         }
     }
 
@@ -501,11 +554,7 @@ impl<G: Gate> Engine for MemEngine<'_, G> {
         let mut buf = vec![0u8; len as usize];
         self.mem.read_bytes(src, &mut buf)?;
         self.mem.write_bytes(dst, &buf)?;
-        self.trace.push(TraceOp::Copy {
-            src,
-            dst,
-            bytes: len,
-        });
+        self.rec.copy(src, dst, len);
         Ok(())
     }
 }

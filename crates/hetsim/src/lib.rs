@@ -5,7 +5,7 @@
 //! interconnect-level access descriptors ([`Access`], [`Denial`]), the
 //! kernel execution abstraction ([`Engine`], [`Trace`]) and the one
 //! memory engine every target runs on ([`MemEngine`], behind a
-//! [`Gate`]), MMIO plumbing
+//! [`Gate`], recording into a [`Record`]), MMIO plumbing
 //! ([`mmio`]), and the CPU / accelerator timing models ([`timing`]).
 //!
 //! The crate is protection-agnostic: the CapChecker and the baseline
@@ -55,7 +55,7 @@ pub mod validate;
 
 pub use bus::{Access, AccessKind, BusFaultConfig, Denial, DenyReason};
 pub use engine::{
-    BufferRegion, DirectEngine, Engine, ExecFault, Gate, MemEngine, TaskLayout, Ungated,
+    BufferRegion, DirectEngine, Engine, ExecFault, Gate, MemEngine, Record, TaskLayout, Ungated,
 };
 pub use fault::{FaultKind, FaultPlan, FaultSpec, FaultyEngine, InjectedFault};
 pub use ids::{Cycles, FuId, MasterId, ObjectId, TaskId};

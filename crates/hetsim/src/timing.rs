@@ -1,5 +1,12 @@
-//! Timing models: cost a recorded [`Trace`] on a CPU or on accelerator
+//! Timing models: cost a kernel's operations on a CPU or on accelerator
 //! functional units behind the shared AXI port.
+//!
+//! The CPU model walks a recorded [`Trace`]. The accelerator model runs an
+//! event [`Wheel`] of pre-folded per-lane entries, and one [`LaneFolder`]
+//! does all the folding, with two feeders: a kernel run recording straight
+//! into the folder (no trace is stored), or [`simulate_accel_system`]
+//! replaying recorded traces into it. Both feeders share the fold, so they
+//! cannot disagree on a cycle.
 //!
 //! The models are deliberately architectural rather than RTL-exact: they
 //! reproduce the *relationships* the paper's evaluation rests on —
@@ -15,12 +22,14 @@
 //! * the CHERI CPU pays a small per-access cost but moves 16 bytes per
 //!   copy instruction (gemm_blocked runs *faster* on `ccpu`, Figure 10 g).
 
+use crate::engine::Record;
 use crate::ids::Cycles;
 use crate::trace::{Trace, TraceOp};
 use obs::{EventKind, NullProfiler, NullTracer, Profiler, Tracer};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::collections::VecDeque;
+use std::fmt;
 
 /// A set-associative data cache (LRU within a set; 1 way = direct-mapped).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -364,10 +373,12 @@ impl BusConfig {
         self.faults = faults;
         self
     }
+}
 
-    fn beats(&self, bytes: u64) -> u64 {
-        bytes.div_ceil(self.beat_bytes).max(1)
-    }
+/// Interconnect beats a transfer of `bytes` takes at `beat_bytes` a beat:
+/// at least one, even for an empty transfer.
+fn beats(beat_bytes: u64, bytes: u64) -> u64 {
+    bytes.div_ceil(beat_bytes).max(1)
 }
 
 /// One accelerator task to run: its trace, its FU configuration, and the
@@ -482,6 +493,30 @@ pub fn simulate_accel_system(tasks: &[AccelTask<'_>], bus: &BusConfig) -> AccelR
 /// entry point calls this with a [`NullTracer`] and a [`NullProfiler`] —
 /// one code path, timing cannot diverge.
 ///
+/// This is the trace feeder of the event wheel: each task's trace is
+/// replayed, op by op, into a [`LaneFolder`], and the folded [`Wheel`]
+/// runs in [`simulate_wheel_prof`]. A kernel run can feed the same
+/// folder directly instead; the fold is one code path either way.
+#[must_use]
+pub fn simulate_accel_system_prof(
+    tasks: &[AccelTask<'_>],
+    bus: &BusConfig,
+    tracer: &mut dyn Tracer,
+    prof: &mut dyn Profiler,
+) -> AccelReport {
+    let mut wheel = Wheel::new(*bus);
+    for task in tasks {
+        let mut folder = wheel.task(task.cfg, task.start);
+        task.trace.replay(&mut folder);
+        wheel = folder.finish();
+    }
+    simulate_wheel_prof(wheel, tracer, prof)
+}
+
+/// Runs a folded [`Wheel`], observed as [`simulate_accel_system_prof`]
+/// describes: the report, events and profile are those of
+/// [`simulate_accel_system_prof`] over traces of the same ops.
+///
 /// This is the event-wheel core: lanes are compact cursors over
 /// pre-folded `(compute, beats)` entries, and the next lane to run is
 /// the smaller `(time, lane)` head of two sorted queues — lanes not yet
@@ -493,9 +528,8 @@ pub fn simulate_accel_system(tasks: &[AccelTask<'_>], bus: &BusConfig) -> AccelR
 /// fact bit-for-bit) identical — the test suite and the CI perf-smoke
 /// job pin that equivalence.
 #[must_use]
-pub fn simulate_accel_system_prof(
-    tasks: &[AccelTask<'_>],
-    bus: &BusConfig,
+pub fn simulate_wheel_prof(
+    wheel: Wheel,
     tracer: &mut dyn Tracer,
     prof: &mut dyn Profiler,
 ) -> AccelReport {
@@ -503,10 +537,10 @@ pub fn simulate_accel_system_prof(
     // path (no tracer, no profiler) compiles to a loop with no virtual
     // calls at all.
     match (tracer.enabled(), prof.enabled()) {
-        (false, false) => run_wheel::<false, false>(tasks, bus, tracer, prof),
-        (true, false) => run_wheel::<true, false>(tasks, bus, tracer, prof),
-        (false, true) => run_wheel::<false, true>(tasks, bus, tracer, prof),
-        (true, true) => run_wheel::<true, true>(tasks, bus, tracer, prof),
+        (false, false) => run_wheel::<false, false>(wheel, tracer, prof),
+        (true, false) => run_wheel::<true, false>(wheel, tracer, prof),
+        (false, true) => run_wheel::<false, true>(wheel, tracer, prof),
+        (true, true) => run_wheel::<true, true>(wheel, tracer, prof),
     }
 }
 
@@ -514,7 +548,7 @@ pub fn simulate_accel_system_prof(
 /// compute *cycles* the lane retires since its previous own memory op,
 /// and the healthy-bus beats of the transfer. The cycles are the single
 /// `units as f64 / compute_per_cycle` division [`distribute_over_lanes`]'
-/// coalescing implies — performed once at build time with the identical
+/// coalescing implies — performed once at fold time with the identical
 /// operands, so hoisting it out of the wheel loop cannot change a bit
 /// (zero units fold to `+0.0`, and `t + 0.0 == t` for the non-negative
 /// times the wheel advances).
@@ -525,7 +559,7 @@ struct LaneEntry {
 }
 
 /// Per-lane cursor state of the event wheel. The whole struct is plain
-/// scalars: entries live in one shared arena in trace order, a lane's
+/// scalars: entries live in one shared arena in program order, a lane's
 /// entries `stride` apart, and the outstanding-request window is a fixed
 /// ring in a second arena instead of a `VecDeque` per lane.
 #[derive(Clone, Copy, Debug)]
@@ -542,104 +576,239 @@ struct WheelLane {
     ring_len: u32,
 }
 
-struct Wheel {
-    entries: Vec<LaneEntry>,
-    lanes: Vec<WheelLane>,
-    ring: Vec<f64>,
+/// Entries per [`Arena`] chunk, as a power of two (256 KiB chunks).
+const CHUNK_SHIFT: u32 = 14;
+const CHUNK: usize = 1 << CHUNK_SHIFT;
+
+/// The wheel's entry arena: [`LaneEntry`]s in program order, indexed as
+/// one sequence but stored in fixed-size chunks. A full chunk is followed
+/// by a fresh one and never moves, so the arena grows as a fold goes —
+/// which needs no size up front — without copying and without leaving
+/// outgrown buffers behind for the allocator to keep resident. It holds
+/// at most one partly filled chunk beyond what its largest fold needed.
+#[derive(Default)]
+struct Arena {
+    chunks: Vec<Box<[LaneEntry; CHUNK]>>,
+    len: usize,
 }
 
-// Retired entry arenas, reused by [`build_wheel`]. A long trace folds to
+impl fmt::Debug for Arena {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Arena")
+            .field("len", &self.len)
+            .field("chunks", &self.chunks.len())
+            .finish()
+    }
+}
+
+impl Arena {
+    #[inline]
+    fn push(&mut self, entry: LaneEntry) {
+        let chunk = self.len >> CHUNK_SHIFT;
+        if chunk == self.chunks.len() {
+            let fresh = LaneEntry {
+                pre_cycles: 0.0,
+                base_beats: 0,
+            };
+            self.chunks.push(Box::new([fresh; CHUNK]));
+        }
+        self.chunks[chunk][self.len & (CHUNK - 1)] = entry;
+        self.len += 1;
+    }
+
+    #[inline]
+    fn get(&self, i: usize) -> LaneEntry {
+        self.chunks[i >> CHUNK_SHIFT][i & (CHUNK - 1)]
+    }
+}
+
+/// The event wheel's input: every task's memory ops, folded in program
+/// order into one arena of `(compute cycles, beats)` entries, plus each
+/// task's lanes and start.
+///
+/// A wheel is filled one task at a time through [`Wheel::task`] and run
+/// by [`simulate_wheel_prof`]. A task's mem op `i` is entry `base + i`
+/// and belongs to lane `i mod n`, so lane `j` walks `base + j,
+/// base + j + n, …` up to the task's last entry.
+#[derive(Debug)]
+pub struct Wheel {
+    bus: BusConfig,
+    entries: Arena,
+    lanes: Vec<WheelLane>,
+    ring: Vec<f64>,
+    starts: Vec<Cycles>,
+}
+
+// The retired entry arena, reused by [`Wheel::new`]. A long run folds to
 // megabytes of [`LaneEntry`]s; faulting that arena in fresh on every
-// simulation call costs more than filling it, so the buffer is parked
-// per thread between runs (contents are fully rewritten each build).
+// simulation call costs more than filling it, so the largest one is
+// parked per thread between runs (contents are fully rewritten each
+// fold).
 thread_local! {
-    static ENTRY_POOL: std::cell::RefCell<Vec<LaneEntry>> =
-        const { std::cell::RefCell::new(Vec::new()) };
+    static ENTRY_POOL: std::cell::RefCell<Arena> = std::cell::RefCell::default();
 }
 
 impl Drop for Wheel {
     fn drop(&mut self) {
-        if self.entries.capacity() < 4096 {
-            return;
-        }
         let mut entries = std::mem::take(&mut self.entries);
         ENTRY_POOL.with(|pool| {
             let mut parked = pool.borrow_mut();
-            if entries.capacity() > parked.capacity() {
-                entries.clear();
+            if entries.chunks.len() > parked.chunks.len() {
+                entries.len = 0;
                 *parked = entries;
             }
         });
     }
 }
 
-/// Folds every task's trace into the wheel's entry arena in one pass, in
-/// trace order — the lazy-cursor equivalent of [`distribute_over_lanes`]
-/// (same lane numbering, same round-robin, same compute coalescing),
-/// minus the per-lane `Vec<TraceOp>` materialization. A task's mem op `i`
-/// is entry `base + i` and belongs to lane `i mod n`, so lane `j` walks
-/// `base + j, base + j + n, …` up to the task's last entry.
-fn build_wheel(tasks: &[AccelTask<'_>], bus: &BusConfig) -> Wheel {
-    let mut lanes: Vec<WheelLane> = Vec::new();
-    let mut total_ring = 0usize;
-    let mut entries = ENTRY_POOL.with(|pool| std::mem::take(&mut *pool.borrow_mut()));
-    entries.clear();
-    // A trace's length counts its compute runs too, so it bounds its mem
-    // ops from above: one reserve, no growth copies while folding.
-    entries.reserve(tasks.iter().map(|t| t.trace.len()).sum());
-    for (t_idx, task) in tasks.iter().enumerate() {
-        let n = task.cfg.lanes.max(1) as usize;
-        let cpc = task.cfg.compute_per_cycle.max(1e-9);
-        let window = task.cfg.outstanding.max(1);
-        let base = entries.len();
-        let mut pending: Vec<u64> = vec![0; n];
-        for op in task.trace.ops() {
-            let beats = match *op {
-                TraceOp::Compute(units) => {
-                    // Compute divides evenly, remainder to the low lanes —
-                    // accumulated, matching `push_compute`'s coalescing.
-                    let share = units / n as u64;
-                    let rem = (units % n as u64) as usize;
-                    for (j, p) in pending.iter_mut().enumerate() {
-                        *p += share + u64::from(j < rem);
-                    }
-                    continue;
-                }
-                TraceOp::Mem { bytes, .. } => bus.beats(u64::from(bytes)),
-                TraceOp::Copy { bytes, .. } => 2 * bus.beats(bytes),
-            };
-            let j = (entries.len() - base) % n;
-            entries.push(LaneEntry {
-                pre_cycles: if pending[j] != 0 {
-                    pending[j] as f64 / cpc
-                } else {
-                    0.0
-                },
-                base_beats: beats,
-            });
-            pending[j] = 0;
+impl Wheel {
+    /// An empty wheel for tasks on `bus`. Its entry arena is the one the
+    /// last wheel run on this thread parked, so a warm thread folds
+    /// without allocating.
+    #[must_use]
+    pub fn new(bus: BusConfig) -> Wheel {
+        Wheel {
+            bus,
+            entries: ENTRY_POOL.with(|pool| std::mem::take(&mut *pool.borrow_mut())),
+            lanes: Vec::new(),
+            ring: Vec::new(),
+            starts: Vec::new(),
         }
-        let end = entries.len();
-        for (j, tail_units) in pending.into_iter().enumerate() {
-            lanes.push(WheelLane {
-                task: t_idx as u32,
-                cursor: base + j,
+    }
+
+    /// Opens the next task: one that may start issuing at `start` on a
+    /// functional unit configured as `cfg`. Feed the task's ops, in
+    /// program order, to the returned folder, then
+    /// [`finish`](LaneFolder::finish) it to get the wheel back.
+    #[must_use]
+    pub fn task(self, cfg: AccelTimingConfig, start: Cycles) -> LaneFolder {
+        let lanes = cfg.lanes.max(1) as usize;
+        LaneFolder {
+            lanes,
+            cpc: cfg.compute_per_cycle.max(1e-9),
+            window: cfg.outstanding.max(1),
+            start,
+            beat_bytes: self.bus.beat_bytes,
+            base: self.entries.len,
+            next_lane: 0,
+            pending: vec![0; lanes],
+            run: 0,
+            wheel: self,
+        }
+    }
+}
+
+/// Folds one task's ops into a [`Wheel`]'s entry arena as they happen,
+/// with no per-lane op lists and no stored trace.
+///
+/// Memory ops go round-robin over the task's lanes. Compute work is split
+/// evenly over the lanes, remainder to the low lanes, and each lane
+/// retires its share before its next memory op — the split the cycle
+/// validator and the reference heap core make over materialized per-lane
+/// op lists. Consecutive [`Record::compute`] calls coalesce into one open run that
+/// is split only when a memory op (or the task's end) closes it, exactly
+/// as [`Trace`] coalesces them into one op: split separately, 1 + 1
+/// units over two lanes would give `[2, 0]` instead of `[1, 1]`.
+///
+/// It is fed either by a kernel run (a `MemEngine` recording into it) or
+/// by [`Trace::replay`], which is how [`simulate_accel_system_prof`]
+/// costs recorded traces — both feeders share this one fold.
+#[derive(Debug)]
+pub struct LaneFolder {
+    wheel: Wheel,
+    lanes: usize,
+    cpc: f64,
+    window: u32,
+    start: Cycles,
+    beat_bytes: u64,
+    /// The task's first entry in the arena.
+    base: usize,
+    /// The lane of the next memory op.
+    next_lane: usize,
+    /// Per-lane compute units not yet retired before a memory op.
+    pending: Vec<u64>,
+    /// Compute units of the open run, not yet split over the lanes.
+    run: u64,
+}
+
+impl LaneFolder {
+    /// Closes the task: splits its trailing compute run, and adds its
+    /// lanes (each retiring its leftover compute after its last memory
+    /// op) and its start to the wheel it hands back.
+    #[must_use]
+    pub fn finish(mut self) -> Wheel {
+        self.split_run();
+        let mut wheel = self.wheel;
+        let task = wheel.starts.len() as u32;
+        let end = wheel.entries.len;
+        for (j, tail_units) in self.pending.into_iter().enumerate() {
+            wheel.lanes.push(WheelLane {
+                task,
+                cursor: self.base + j,
                 end,
-                stride: n as u32,
+                stride: self.lanes as u32,
                 tail_units,
-                cpc,
-                window,
-                ring_start: total_ring,
+                cpc: self.cpc,
+                window: self.window,
+                ring_start: wheel.ring.len(),
                 ring_head: 0,
                 ring_len: 0,
             });
-            total_ring += window as usize;
+            wheel
+                .ring
+                .resize(wheel.ring.len() + self.window as usize, 0.0);
         }
+        wheel.starts.push(self.start);
+        wheel
     }
-    Wheel {
-        entries,
-        lanes,
-        ring: vec![0.0; total_ring],
+
+    /// Splits the open compute run over the lanes' pending work.
+    #[inline]
+    fn split_run(&mut self) {
+        if self.run == 0 {
+            return;
+        }
+        let share = self.run / self.lanes as u64;
+        let rem = (self.run % self.lanes as u64) as usize;
+        for (j, p) in self.pending.iter_mut().enumerate() {
+            *p += share + u64::from(j < rem);
+        }
+        self.run = 0;
+    }
+
+    /// Appends the next lane's entry for a memory op of `beats` beats.
+    #[inline]
+    fn push(&mut self, beats: u64) {
+        self.split_run();
+        let j = self.next_lane;
+        let units = std::mem::take(&mut self.pending[j]);
+        self.wheel.entries.push(LaneEntry {
+            pre_cycles: if units != 0 {
+                units as f64 / self.cpc
+            } else {
+                0.0
+            },
+            base_beats: beats,
+        });
+        self.next_lane = if j + 1 == self.lanes { 0 } else { j + 1 };
+    }
+}
+
+impl Record for LaneFolder {
+    #[inline]
+    fn mem(&mut self, _addr: u64, bytes: u16, _write: bool, _object: u16) {
+        self.push(beats(self.beat_bytes, u64::from(bytes)));
+    }
+
+    #[inline]
+    fn compute(&mut self, units: u64) {
+        self.run += units;
+    }
+
+    #[inline]
+    fn copy(&mut self, _src: u64, _dst: u64, bytes: u64) {
+        // A copy is a read stream plus a write stream.
+        self.push(2 * beats(self.beat_bytes, bytes));
     }
 }
 
@@ -648,18 +817,17 @@ fn build_wheel(tasks: &[AccelTask<'_>], bus: &BusConfig) -> Wheel {
 /// the benchmark path free of per-op virtual calls while the observed
 /// paths stay the same code, so observers can never perturb timing.
 fn run_wheel<const TRACING: bool, const PROFILING: bool>(
-    tasks: &[AccelTask<'_>],
-    bus: &BusConfig,
+    mut wheel: Wheel,
     tracer: &mut dyn Tracer,
     prof: &mut dyn Profiler,
 ) -> AccelReport {
-    let mut wheel = build_wheel(tasks, bus);
+    let bus = wheel.bus;
     let latency = (bus.mem_latency + bus.checker_latency) as f64;
     let mut bus_free = 0.0f64;
     let mut bus_beats = 0u64;
     let mut grants = 0u64;
-    let mut per_task: Vec<Cycles> = tasks.iter().map(|t| t.start).collect();
-    record_starts(tasks, tracer);
+    let mut per_task: Vec<Cycles> = wheel.starts.clone();
+    record_starts(&wheel.starts, tracer);
 
     // FCFS arbitration in the order the reference heap's `(Time, usize)`
     // keys pop, from two queues instead of a priority queue. A granted
@@ -674,7 +842,7 @@ fn run_wheel<const TRACING: bool, const PROFILING: bool>(
     let mut fresh: Vec<(f64, usize)> = wheel
         .lanes
         .iter()
-        .map(|lane| tasks[lane.task as usize].start as f64)
+        .map(|lane| wheel.starts[lane.task as usize] as f64)
         .zip(0..)
         .collect();
     fresh.sort_by(|a, b| a.0.total_cmp(&b.0));
@@ -706,7 +874,7 @@ fn run_wheel<const TRACING: bool, const PROFILING: bool>(
             per_task[task_idx] = per_task[task_idx].max(done);
             continue;
         }
-        let e = wheel.entries[lane.cursor];
+        let e = wheel.entries.get(lane.cursor);
         lane.cursor += lane.stride as usize;
         t += e.pre_cycles;
         let mut beats = e.base_beats;
@@ -754,23 +922,24 @@ fn run_wheel<const TRACING: bool, const PROFILING: bool>(
         );
         served.push_back((bus_free, li));
     }
-    close_run(tasks, per_task, bus_beats, tracer, prof)
+    close_run(&wheel.starts, per_task, bus_beats, tracer, prof)
 }
 
 /// Opens a run on `tracer`: every task's start, in task order.
-fn record_starts(tasks: &[AccelTask<'_>], tracer: &mut dyn Tracer) {
+fn record_starts(starts: &[Cycles], tracer: &mut dyn Tracer) {
     if tracer.enabled() {
-        for (t_idx, task) in tasks.iter().enumerate() {
-            tracer.record(task.start, EventKind::TaskStart { task: t_idx as u32 });
+        for (t_idx, &start) in starts.iter().enumerate() {
+            tracer.record(start, EventKind::TaskStart { task: t_idx as u32 });
         }
     }
 }
 
-/// Closes a run that finished each task at `per_task` after moving
-/// `bus_beats`: records every task's end on `tracer`, attributes the
-/// makespan to `prof`'s spans, and builds the report.
+/// Closes a run of tasks that started at `starts` and finished at
+/// `per_task` after moving `bus_beats`: records every task's end on
+/// `tracer`, attributes the makespan to `prof`'s spans, and builds the
+/// report.
 fn close_run(
-    tasks: &[AccelTask<'_>],
+    starts: &[Cycles],
     per_task: Vec<Cycles>,
     bus_beats: u64,
     tracer: &mut dyn Tracer,
@@ -786,9 +955,9 @@ fn close_run(
 
     if prof.enabled() {
         for (t_idx, done) in per_task.iter().enumerate() {
-            prof.observe("accel.task_cycles", done.saturating_sub(tasks[t_idx].start));
+            prof.observe("accel.task_cycles", done.saturating_sub(starts[t_idx]));
         }
-        let setup = tasks.iter().map(|t| t.start).min().unwrap_or(0);
+        let setup = starts.iter().copied().min().unwrap_or(0);
         let execute = makespan.saturating_sub(setup);
         // Every beat occupies a distinct cycle on the single port, and no
         // grant precedes the earliest start, so busy ≤ execute holds; the
@@ -862,8 +1031,9 @@ pub fn simulate_accel_system_naive_prof(
     let mut bus_free = 0.0f64;
     let mut bus_beats = 0u64;
     let mut grants = 0u64;
-    let mut per_task: Vec<Cycles> = tasks.iter().map(|t| t.start).collect();
-    record_starts(tasks, tracer);
+    let starts: Vec<Cycles> = tasks.iter().map(|t| t.start).collect();
+    let mut per_task = starts.clone();
+    record_starts(&starts, tracer);
 
     let mut heap: BinaryHeap<Reverse<(Time, usize)>> = lanes
         .iter()
@@ -879,8 +1049,8 @@ pub fn simulate_accel_system_naive_prof(
             lane.next += 1;
         }
         let mut beats = match lane.ops.get(lane.next) {
-            Some(TraceOp::Mem { bytes, .. }) => bus.beats(u64::from(*bytes)),
-            Some(TraceOp::Copy { bytes, .. }) => 2 * bus.beats(*bytes),
+            Some(TraceOp::Mem { bytes, .. }) => beats(bus.beat_bytes, u64::from(*bytes)),
+            Some(TraceOp::Copy { bytes, .. }) => 2 * beats(bus.beat_bytes, *bytes),
             _ => {
                 // Lane finished issuing: wait for its in-flight requests.
                 let drain = lane.inflight.back().copied().unwrap_or(lane.time);
@@ -927,7 +1097,7 @@ pub fn simulate_accel_system_naive_prof(
         lane.time = grant + beats as f64;
         heap.push(Reverse((Time(lane.time), li)));
     }
-    close_run(tasks, per_task, bus_beats, tracer, prof)
+    close_run(&starts, per_task, bus_beats, tracer, prof)
 }
 
 #[cfg(test)]

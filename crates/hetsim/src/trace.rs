@@ -1,14 +1,21 @@
 //! Operation traces: what a kernel *does*, independent of where it runs.
 //!
 //! A kernel executes once, functionally, against an [`Engine`]; the engine
-//! records the operation stream as a [`Trace`]. The same trace is then
-//! costed under different timing models (CPU with cache, accelerator lanes
-//! behind the shared AXI port, with or without the CapChecker in the path),
-//! which is how the five system configurations of §6.3 are compared on
-//! identical work.
+//! hands the operation stream to its [`Record`]er, by default a [`Trace`].
+//! The same trace can then be costed under different timing models (CPU
+//! with cache, accelerator lanes behind the shared AXI port, with or
+//! without the CapChecker in the path), which is how the five system
+//! configurations of §6.3 are compared on identical work.
+//!
+//! A trace is one of two feeders of the accelerator event wheel:
+//! [`Trace::replay`] hands its ops to a
+//! [`LaneFolder`](crate::timing::LaneFolder), op by op, as a kernel run
+//! recording straight into the folder would have. Accelerator runs that
+//! need nothing but their timing skip the trace altogether.
 //!
 //! [`Engine`]: crate::engine::Engine
 
+use crate::engine::Record;
 use std::fmt;
 
 /// One recorded operation.
@@ -43,8 +50,7 @@ pub enum TraceOp {
 ///
 /// The trace stores its ops and nothing else: the summaries
 /// ([`Trace::mem_ops`], [`Trace::compute_units`], [`Trace::mem_bytes`])
-/// walk the ops on each call, and the accelerator timing core sizes its
-/// arena from [`Trace::len`], which bounds the memory ops from above.
+/// walk the ops on each call.
 #[derive(Clone, Debug, Default)]
 pub struct Trace {
     ops: Vec<TraceOp>,
@@ -106,6 +112,23 @@ impl Trace {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.ops.is_empty()
+    }
+
+    /// Feeds every op, in program order, to `rec` — a recorded kernel
+    /// run replayed into any [`Record`], as the engine fed the trace.
+    pub fn replay(&self, rec: &mut impl Record) {
+        for op in &self.ops {
+            match *op {
+                TraceOp::Compute(units) => rec.compute(units),
+                TraceOp::Mem {
+                    addr,
+                    bytes,
+                    write,
+                    object,
+                } => rec.mem(addr, bytes, write, object),
+                TraceOp::Copy { src, dst, bytes } => rec.copy(src, dst, bytes),
+            }
+        }
     }
 
     /// Total data-path work units.

@@ -12,13 +12,20 @@
 //! registered memory event must be granted exactly once (beat
 //! accounting) and every per-task completion cycle must match the
 //! reference scheduler cycle-for-cycle.
+//!
+//! The wheel has two feeders: a kernel run folds each op into a
+//! `LaneFolder` as it happens, and `simulate_accel_system` replays
+//! recorded traces into the same folder. A folder fed op by op, with its
+//! compute arriving in arbitrary pieces, must time exactly what the trace
+//! feeder times.
 
 use hetsim::timing::{
     simulate_accel_system, simulate_accel_system_naive, simulate_accel_system_naive_prof,
-    simulate_accel_system_prof, AccelTask, AccelTimingConfig, BusConfig,
+    simulate_accel_system_prof, simulate_wheel_prof, AccelTask, AccelTimingConfig, BusConfig,
+    Wheel,
 };
-use hetsim::{BusFaultConfig, Trace, TraceOp};
-use obs::{SpanProfiler, TraceBuffer};
+use hetsim::{BusFaultConfig, Record, Trace, TraceOp};
+use obs::{NullProfiler, NullTracer, SpanProfiler, TraceBuffer};
 use proptest::prelude::*;
 
 /// One randomized trace op. Compute units are kept small so traces stay
@@ -94,7 +101,94 @@ fn arb_bus() -> impl Strategy<Value = BusConfig> {
         )
 }
 
+/// A bus with both interconnect fault models armed.
+fn arb_faulty_bus() -> impl Strategy<Value = BusConfig> {
+    (arb_bus(), 1u64..6, 1u64..20, 1u64..9).prop_map(
+        |(bus, stall_every, stall_cycles, drop_every)| BusConfig {
+            faults: BusFaultConfig {
+                stall_every,
+                stall_cycles,
+                drop_every,
+            },
+            ..bus
+        },
+    )
+}
+
+/// Feeds `trace` to `rec` the way a kernel run would, one engine call at
+/// a time, except that each `Compute(u)` arrives as several `compute`
+/// calls of random positive pieces summing to `u` (an xorshift stream
+/// seeded by `salt` picks them).
+fn feed_in_pieces(trace: &Trace, salt: &mut u64, rec: &mut impl Record) {
+    for op in trace.ops() {
+        match *op {
+            TraceOp::Compute(mut units) => {
+                while units > 0 {
+                    *salt ^= *salt << 13;
+                    *salt ^= *salt >> 7;
+                    *salt ^= *salt << 17;
+                    let piece = 1 + *salt % units;
+                    rec.compute(piece);
+                    units -= piece;
+                }
+            }
+            TraceOp::Mem {
+                addr,
+                bytes,
+                write,
+                object,
+            } => rec.mem(addr, bytes, write, object),
+            TraceOp::Copy { src, dst, bytes } => rec.copy(src, dst, bytes),
+        }
+    }
+}
+
 proptest! {
+    /// The two feeders of the wheel agree: folding each task's ops as a
+    /// kernel run hands them over — compute split into random pieces,
+    /// 1–8 tasks of up to 32 lanes, both bus fault models armed — gives
+    /// the report, the recorded events (every `BusGrant` included) and
+    /// the span profile that replaying the recorded traces gives.
+    #[test]
+    fn folder_fed_op_by_op_matches_the_trace_feeder(
+        traces in prop::collection::vec(arb_trace(), 1..9),
+        cfgs in prop::collection::vec(arb_cfg(), 8..9),
+        starts in prop::collection::vec(arb_start(), 8..9),
+        bus in arb_faulty_bus(),
+        salt in 1u64..u64::MAX,
+    ) {
+        let tasks: Vec<AccelTask<'_>> = traces
+            .iter()
+            .enumerate()
+            .map(|(i, trace)| AccelTask {
+                trace,
+                cfg: cfgs[i % cfgs.len()],
+                start: starts[i % starts.len()],
+            })
+            .collect();
+        let fold = |salt: &mut u64| {
+            let mut wheel = Wheel::new(bus);
+            for task in &tasks {
+                let mut folder = wheel.task(task.cfg, task.start);
+                feed_in_pieces(task.trace, salt, &mut folder);
+                wheel = folder.finish();
+            }
+            wheel
+        };
+        let (mut fed_events, mut traced_events) = (TraceBuffer::new(), TraceBuffer::new());
+        let (mut fed_prof, mut traced_prof) = (SpanProfiler::new(), SpanProfiler::new());
+        let mut pieces = salt;
+        let fed = simulate_wheel_prof(fold(&mut pieces), &mut fed_events, &mut fed_prof);
+        let traced =
+            simulate_accel_system_prof(&tasks, &bus, &mut traced_events, &mut traced_prof);
+        prop_assert_eq!(&fed, &traced);
+        prop_assert!(fed_events == traced_events, "recorded events differ");
+        prop_assert!(fed_prof.snapshot() == traced_prof.snapshot(), "span profiles differ");
+        let mut pieces = salt;
+        let quiet = simulate_wheel_prof(fold(&mut pieces), &mut NullTracer, &mut NullProfiler);
+        prop_assert_eq!(&quiet, &traced, "the unobserved wheel differs");
+    }
+
     /// Cycle-for-cycle equivalence on arbitrary multi-task systems: if the
     /// wheel ever skipped or duplicated a registered event, some task's
     /// completion cycle, the total beat count, or the utilization ratio
