@@ -652,7 +652,8 @@ fn run_analyze(a: &Args) -> Result<(), Failure> {
         }
         return Ok(());
     }
-    let rows = staticreport::rows(a.threads());
+    let rows = staticreport::rows(a.threads())
+        .map_err(|e| Failure::Violated(format!("analyze: a stock benchmark failed: {e}")))?;
     let unsafe_findings: usize = rows.iter().map(|r| r.run.analysis.findings.len()).sum();
     emit(
         a.out.as_deref(),

@@ -97,34 +97,41 @@ impl StaticRow {
 
 /// Computes one row.
 ///
-/// # Panics
+/// # Errors
 ///
-/// When a stock benchmark fails to run, as [`crate::runner::run_benchmark`].
-#[must_use]
-pub fn row(bench: Benchmark) -> StaticRow {
-    let run = run_elided(bench, 1, 0xC0DE).unwrap_or_else(|e| panic!("{bench}: {e}"));
+/// As [`run_elided`].
+pub fn row(bench: Benchmark) -> Result<StaticRow, RunError> {
+    let run = run_elided(bench, 1, 0xC0DE)?;
     let over_privileged_grants = audit_grants(bench, &default_grants(bench, 0))
         .iter()
         .filter(|f| f.category == "over-privilege")
         .count() as u64;
-    StaticRow {
+    Ok(StaticRow {
         run,
         over_privileged_grants,
-    }
+    })
 }
 
 /// All 19 rows, computed on `threads` workers; any thread count produces
 /// the same rows in the same order.
-#[must_use]
-pub fn rows(threads: usize) -> Vec<StaticRow> {
+///
+/// # Errors
+///
+/// The first benchmark's error, in `Benchmark::ALL` order, as [`row`].
+pub fn rows(threads: usize) -> Result<Vec<StaticRow>, RunError> {
     crate::fan_out(threads, Benchmark::ALL.len(), |i| row(Benchmark::ALL[i]))
+        .into_iter()
+        .collect()
 }
 
 /// Renders the report as a table, its benchmark cells computed on
 /// `threads` workers — byte-identical output for any thread count.
-#[must_use]
-pub fn report(threads: usize) -> String {
-    render_rows(&rows(threads))
+///
+/// # Errors
+///
+/// As [`rows`].
+pub fn report(threads: usize) -> Result<String, RunError> {
+    rows(threads).map(|rows| render_rows(&rows))
 }
 
 /// Renders already-computed rows as the text table.
@@ -233,7 +240,7 @@ mod tests {
     fn stock_benchmarks_all_prove_safe_and_gain() {
         // A cheap representative subset (the golden test covers all 19).
         for b in [Benchmark::Aes, Benchmark::GemmNcubed, Benchmark::SpmvCrs] {
-            let r = row(b);
+            let r = row(b).unwrap();
             assert!(r.run.analysis.all_safe(), "{b}");
             assert!(r.run.checks_elided > 0, "{b}");
             assert!(r.run.speedup() >= 1.0, "{b}");
@@ -242,7 +249,7 @@ mod tests {
 
     #[test]
     fn json_is_valid_and_schema_tagged() {
-        let rows = vec![row(Benchmark::Aes)];
+        let rows = vec![row(Benchmark::Aes).unwrap()];
         let json = rows_to_json(&rows);
         obs::json::validate(&json).unwrap();
         assert!(json.contains("\"schema\":\"capcheri.staticreport.v1\""));

@@ -158,7 +158,11 @@ fn artifacts(threads: usize) -> Vec<(&'static str, &'static str, String)> {
         ("fig10", "figure", fig10::report(threads)),
         ("fig11", "figure", fig11::report(threads)),
         ("fig12", "figure", fig12::report(threads)),
-        ("staticreport", "report", staticreport::report(threads)),
+        (
+            "staticreport",
+            "report",
+            staticreport::report(threads).expect("every stock benchmark runs"),
+        ),
         ("flowreport", "report", flowreport::report(threads)),
         ("table1", "table", table1::report()),
         ("table2", "table", table2::report()),
