@@ -20,7 +20,10 @@
 //! heap scheduler (`simulate_accel_system_naive` — CI's cross-check
 //! reference, which pops and re-pushes a lane for every memory op, with
 //! no fast path), `stepped` the cycle-accurate validator with its
-//! bulk-advance fast path ([`hetsim::validate`]).
+//! bulk-advance fast path ([`hetsim::validate`]). Each shape's first
+//! task is also costed alone, by the wheel (`wheel_one`) and by `stream`,
+//! the one-task coster ([`hetsim::timing::StreamCoster`]) that grants
+//! each op as it arrives, with no arena and no queue.
 //!
 //! ```text
 //! cargo bench -p capcheri-bench --bench event_core            # print
@@ -34,7 +37,8 @@
 
 use criterion::{black_box, Criterion};
 use hetsim::timing::{
-    simulate_accel_system, simulate_accel_system_naive, AccelTask, AccelTimingConfig, BusConfig,
+    simulate_accel_system, simulate_accel_system_naive, AccelReport, AccelTask, AccelTimingConfig,
+    BusConfig, StreamCoster,
 };
 use hetsim::validate::simulate_accel_system_cycle_accurate;
 use hetsim::{Trace, TraceOp};
@@ -98,6 +102,13 @@ fn tasks_over<'a>(traces: &'a [Trace], lanes: u32) -> Vec<AccelTask<'a>> {
         .collect()
 }
 
+/// Costs `task` alone on `bus` as its ops arrive.
+fn stream(task: &AccelTask<'_>, bus: &BusConfig) -> AccelReport {
+    let mut coster = StreamCoster::new(*bus, task.cfg, task.start);
+    task.trace.replay(&mut coster);
+    coster.finish()
+}
+
 struct Shape {
     name: &'static str,
     traces: Vec<Trace>,
@@ -135,6 +146,13 @@ fn measure() -> Vec<(String, f64)> {
             "wheel and heap cores disagree on {}",
             shape.name
         );
+        let one = &tasks[..1];
+        assert_eq!(
+            stream(&one[0], &bus),
+            simulate_accel_system(one, &bus),
+            "stream and wheel cores disagree on {}'s first task",
+            shape.name
+        );
         let mut g = c.benchmark_group(shape.name);
         g.bench_function("wheel", |b| {
             b.iter(|| black_box(simulate_accel_system(&tasks, &bus)))
@@ -145,6 +163,10 @@ fn measure() -> Vec<(String, f64)> {
         g.bench_function("stepped", |b| {
             b.iter(|| black_box(simulate_accel_system_cycle_accurate(&tasks, &bus)))
         });
+        g.bench_function("wheel_one", |b| {
+            b.iter(|| black_box(simulate_accel_system(one, &bus)))
+        });
+        g.bench_function("stream", |b| b.iter(|| black_box(stream(&one[0], &bus))));
         g.finish();
     }
 
@@ -194,6 +216,18 @@ fn main() -> ExitCode {
             {
                 println!("{base}: wheel is {:.1}x vs {other}", v / wheel_ns);
             }
+        }
+        let one_task = |core: &str| {
+            metrics
+                .iter()
+                .find(|(n, _)| n == &format!("{base}_{core}_ns"))
+                .map(|(_, v)| *v)
+        };
+        if let (Some(wheel_one), Some(stream)) = (one_task("wheel_one"), one_task("stream")) {
+            println!(
+                "{base}: stream is {:.1}x vs wheel, one task",
+                wheel_one / stream
+            );
         }
     }
     if let Some(path) = value_after("--save") {

@@ -132,7 +132,7 @@ impl AdaptBenchReport {
             tasks_run = run.result.tasks;
             // A fresh system per epoch means the full-run stats *are*
             // the epoch's deltas.
-            let cache = run.cache.expect("the cached protection was installed");
+            let cache = run.cache.ok_or(RunError::Unrecorded("cache statistics"))?;
             let signals = EpochSignals {
                 checks: cache.hits + cache.misses + cache.elided,
                 stall_cycles: cache.miss_cycles,

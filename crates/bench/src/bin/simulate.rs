@@ -149,12 +149,13 @@ impl From<String> for Failure {
     }
 }
 
-/// A run that could not finish: a denied benign kernel is a violated
-/// property, anything else a harness failure.
+/// A run that could not finish: a denied benign kernel, or a run that
+/// did not record what its spec asked for, is a violated property,
+/// anything else a harness failure.
 fn failed(bench: Benchmark, e: &RunError) -> Failure {
     let msg = format!("{bench}: {e}");
     match e {
-        RunError::Denied(_) => Failure::Violated(msg),
+        RunError::Denied(_) | RunError::Unrecorded(_) => Failure::Violated(msg),
         _ => Failure::Harness(msg),
     }
 }
@@ -947,7 +948,7 @@ mod tests {
     }
 
     #[test]
-    fn a_denied_benign_kernel_is_a_violation_and_other_run_errors_are_not() {
+    fn denied_or_unrecorded_runs_are_violations_and_other_run_errors_are_not() {
         use hetsim::{Access, Denial, DenyReason, MasterId, TaskId};
         let denial = Denial {
             access: Access::read(MasterId(1), TaskId(0), 0x1000, 4),
@@ -958,8 +959,11 @@ mod tests {
             failed(bench, &RunError::Denied(denial)),
             Failure::Violated(_)
         ));
-        for e in [RunError::NoTrace, RunError::NoChecker(SystemVariant::Cpu)] {
-            assert!(matches!(failed(bench, &e), Failure::Harness(_)), "{e}");
-        }
+        assert!(matches!(
+            failed(bench, &RunError::Unrecorded("profile")),
+            Failure::Violated(_)
+        ));
+        let e = RunError::NoChecker(SystemVariant::Cpu);
+        assert!(matches!(failed(bench, &e), Failure::Harness(_)), "{e}");
     }
 }

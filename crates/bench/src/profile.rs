@@ -51,7 +51,7 @@ impl ProfileReport {
         Ok(ProfileReport {
             seed,
             result: out.result,
-            profile: out.profile.expect("profiled runs carry a profile"),
+            profile: out.profile.ok_or(RunError::Unrecorded("profile"))?,
             attribution: out.attribution,
         })
     }

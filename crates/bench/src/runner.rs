@@ -7,10 +7,10 @@ use capchecker::{
 };
 use capcheri_analyze::{declared_perms, BenchAnalysis};
 use hetsim::timing::{
-    simulate_accel_system_prof, simulate_cpu, simulate_cpu_prof, simulate_wheel_prof, AccelTask,
-    AccelTimingConfig, BusConfig, CpuTiming, Wheel,
+    simulate_accel_system_prof, simulate_cpu, simulate_cpu_prof, simulate_wheel_prof, AccelReport,
+    AccelTask, AccelTimingConfig, BusConfig, CpuCoster, CpuReport, CpuTiming, StreamCoster, Wheel,
 };
-use hetsim::{Cycles, Denial, Trace};
+use hetsim::{Cycles, Denial, Engine, Record, TaskId, Trace};
 use machsuite::Benchmark;
 use obs::stats::CacheStats;
 use obs::{
@@ -121,11 +121,11 @@ pub enum RunError {
     /// The system cannot host the workload: too many tasks for the
     /// capability table, the heap or the functional units.
     DoesNotFit(DriverError),
-    /// The driver failed to load the inputs, run a kernel or hand back
-    /// its trace.
+    /// The driver failed to load the inputs or run a kernel.
     Driver(DriverError),
-    /// A kernel completed without a recorded trace.
-    NoTrace,
+    /// The run did not record what its spec asked for (the named
+    /// record: a profile, cache statistics).
+    Unrecorded(&'static str),
     /// The benign benchmark was denied by its own system — a
     /// protection-model bug, not a property of the workload.
     Denied(Denial),
@@ -139,7 +139,7 @@ impl fmt::Display for RunError {
             }
             RunError::DoesNotFit(e) => write!(f, "the workload does not fit the system: {e}"),
             RunError::Driver(e) => write!(f, "driver error: {e}"),
-            RunError::NoTrace => f.write_str("a kernel completed without recording a trace"),
+            RunError::Unrecorded(what) => write!(f, "the run recorded no {what}"),
             RunError::Denied(denial) => write!(f, "benign kernel {denial}"),
         }
     }
@@ -171,11 +171,13 @@ pub fn run_benchmark(
 
 /// Runs one cell as `spec` describes.
 ///
-/// An accelerator cell folds each kernel op into the event wheel as the
-/// kernel runs, unless the spec observes the run: the workload stats and
-/// L1 metrics of an observed run read the first task's trace, so it
-/// records traces and costs them. CPU cells always record, since the
-/// cache model needs addresses. Either way the cycles are the same.
+/// A plain cell (neither observed nor profiled) is costed as its kernel
+/// runs: a CPU cell by a [`CpuCoster`], a one-task accelerator cell by a
+/// [`StreamCoster`], and a multi-task one by folding each task into the
+/// event wheel. A profiled accelerator cell folds too. An observed cell
+/// records its traces and costs them afterwards, since its workload stats
+/// and L1 metrics read the first task's trace; so does a profiled CPU
+/// cell. Whichever way, the cycles are the same.
 ///
 /// # Errors
 ///
@@ -193,11 +195,8 @@ pub fn run(spec: &RunSpec<'_>) -> Result<RunOutcome, RunError> {
     if (spec.cache.is_some() || elide.is_some()) && variant != SystemVariant::CheriCpuCheriAccel {
         return Err(RunError::NoChecker(variant));
     }
-    let tasks = if variant.uses_accelerator() {
-        spec.tasks.max(1)
-    } else {
-        1
-    };
+    let accel = variant.uses_accelerator();
+    let tasks = if accel { spec.tasks.max(1) } else { 1 };
     let mut config = variant.config();
     if let Some(cache) = spec.cache {
         config.protection = ProtectionChoice::CachedCapChecker(cache);
@@ -230,13 +229,23 @@ pub fn run(spec: &RunSpec<'_>) -> Result<RunOutcome, RunError> {
     } else {
         BusConfig::default()
     };
-    let mut wheel = (variant.uses_accelerator() && !spec.observe).then(|| Wheel::new(bus));
-    let mut traces: Vec<Trace> = Vec::with_capacity(tasks);
-    let mut setups: Vec<Cycles> = Vec::with_capacity(tasks);
+    let timing = CpuTiming {
+        cycles_per_unit: profile.cpu_cycles_per_unit,
+        ..CpuTiming::default()
+    };
+    let timing = if variant.cheri_cpu() {
+        timing.with_cheri()
+    } else {
+        timing
+    };
+
+    // Allocates task `t`, installs its verdicts and inputs, and returns
+    // its handle and setup cycles.
     let mut ids = Vec::with_capacity(tasks);
+    let mut setups: Vec<Cycles> = Vec::with_capacity(tasks);
     let mut verdicts = StaticVerdictMap::new();
-    for t in 0..tasks {
-        let mut req = if variant.uses_accelerator() {
+    let mut open = |sys: &mut HeteroSystem, t: usize| -> Result<(TaskId, Cycles), RunError> {
+        let mut req = if accel {
             TaskRequest::accel(format!("{bench}#{t}"), bench.name())
         } else {
             TaskRequest::cpu(format!("{bench}#{t}"))
@@ -248,6 +257,7 @@ pub fn run(spec: &RunSpec<'_>) -> Result<RunOutcome, RunError> {
             req = req.device_ports(declared_perms(bench));
         }
         let id = sys.allocate_task(&req).map_err(RunError::DoesNotFit)?;
+        ids.push(id);
         if let Some(analysis) = elide {
             // Accumulate this task's proved pairs and (re)install the
             // combined map before its kernel runs.
@@ -261,32 +271,9 @@ pub fn run(spec: &RunSpec<'_>) -> Result<RunOutcome, RunError> {
                 .map_err(RunError::Driver)?;
         }
         let setup = sys.setup_cycles(id).map_err(RunError::Driver)?;
-        let outcome = if let Some(open) = wheel.take() {
-            let folder = open.task(accel_cfg, setup);
-            let (folder, outcome) = sys
-                .run_accel_task_with(id, folder, |eng| bench.kernel(eng))
-                .map_err(RunError::Driver)?;
-            wheel = Some(folder.finish());
-            outcome
-        } else if variant.uses_accelerator() {
-            sys.run_accel_task(id, |eng| bench.kernel(eng))
-        } else {
-            sys.run_cpu_task(id, |eng| bench.kernel(eng))
-        }
-        .map_err(RunError::Driver)?;
-        if let Some(denial) = outcome.denial {
-            return Err(RunError::Denied(denial));
-        }
         setups.push(setup);
-        if wheel.is_none() {
-            traces.push(
-                sys.take_trace(id)
-                    .map_err(RunError::Driver)?
-                    .ok_or(RunError::NoTrace)?,
-            );
-        }
-        ids.push(id);
-    }
+        Ok((id, setup))
+    };
 
     // One timing code path for every spec: the only differences are
     // whether the tracer is a recording handle or the null sink, and
@@ -304,64 +291,81 @@ pub fn run(spec: &RunSpec<'_>) -> Result<RunOutcome, RunError> {
         None => &mut null_prof,
     };
 
+    let plain = !spec.observe && !spec.profile;
+    let mut traces: Vec<Trace> = Vec::new();
+    let costed = if !accel {
+        let (id, _) = open(&mut sys, 0)?;
+        Costed::Cpu(if plain {
+            run_task(&mut sys, id, bench, false, CpuCoster::new(&timing))?.finish()
+        } else {
+            traces.push(run_task(&mut sys, id, bench, false, Trace::new())?);
+            simulate_cpu_prof(&traces[0], &timing, tracer, prof)
+        })
+    } else if plain && tasks == 1 {
+        let (id, setup) = open(&mut sys, 0)?;
+        let coster = StreamCoster::new(bus, accel_cfg, setup);
+        Costed::Accel(run_task(&mut sys, id, bench, true, coster)?.finish())
+    } else if !spec.observe {
+        let mut wheel = Wheel::new(bus);
+        for t in 0..tasks {
+            let (id, setup) = open(&mut sys, t)?;
+            wheel = run_task(&mut sys, id, bench, true, wheel.task(accel_cfg, setup))?.finish();
+        }
+        Costed::Accel(simulate_wheel_prof(wheel, tracer, prof))
+    } else {
+        for t in 0..tasks {
+            let (id, _) = open(&mut sys, t)?;
+            traces.push(run_task(&mut sys, id, bench, true, Trace::new())?);
+        }
+        let accel_tasks: Vec<AccelTask<'_>> = traces
+            .iter()
+            .zip(&setups)
+            .map(|(trace, &start)| AccelTask {
+                trace,
+                cfg: accel_cfg,
+                start,
+            })
+            .collect();
+        Costed::Accel(simulate_accel_system_prof(&accel_tasks, &bus, tracer, prof))
+    };
+
     let mut registry = observe.as_ref().map(|_| Registry::new());
     let checks_elided = sys.checks_elided();
-    let result = if variant.uses_accelerator() {
-        let report = match wheel {
-            Some(wheel) => simulate_wheel_prof(wheel, tracer, prof),
-            None => {
-                let accel_tasks: Vec<AccelTask<'_>> = traces
-                    .iter()
-                    .zip(&setups)
-                    .map(|(trace, &start)| AccelTask {
-                        trace,
-                        cfg: accel_cfg,
-                        start,
-                    })
-                    .collect();
-                simulate_accel_system_prof(&accel_tasks, &bus, tracer, prof)
+    let result = match costed {
+        Costed::Accel(report) => {
+            if let Some(reg) = registry.as_mut() {
+                reg.counter_add("bus.beats", report.bus_beats);
+                for cycles in &report.per_task {
+                    reg.observe("task.cycles", *cycles);
+                }
+                // Accelerator runs bypass the CPU's L1, so the hit rate is
+                // the reference costing of the first task's trace on the
+                // default CPU model (side-effect-free: no tracer, no new
+                // events).
+                let l1 = simulate_cpu(&traces[0], &CpuTiming::default());
+                add_l1_metrics(reg, l1.hits, l1.misses);
             }
-        };
-        if let Some(reg) = registry.as_mut() {
-            reg.counter_add("bus.beats", report.bus_beats);
-            for cycles in &report.per_task {
-                reg.observe("task.cycles", *cycles);
+            RunResult {
+                bench,
+                variant,
+                tasks,
+                cycles: report.makespan,
+                setup_cycles: setups[0],
+                bus_utilization: report.bus_utilization,
             }
-            // Accelerator runs bypass the CPU's L1, so the hit rate is the
-            // reference costing of the first task's trace on the default
-            // CPU model (side-effect-free: no tracer, no new events).
-            let l1 = simulate_cpu(&traces[0], &CpuTiming::default());
-            add_l1_metrics(reg, l1.hits, l1.misses);
         }
-        RunResult {
-            bench,
-            variant,
-            tasks,
-            cycles: report.makespan,
-            setup_cycles: setups[0],
-            bus_utilization: report.bus_utilization,
-        }
-    } else {
-        let timing = CpuTiming {
-            cycles_per_unit: profile.cpu_cycles_per_unit,
-            ..CpuTiming::default()
-        };
-        let timing = if variant.cheri_cpu() {
-            timing.with_cheri()
-        } else {
-            timing
-        };
-        let report = simulate_cpu_prof(&traces[0], &timing, tracer, prof);
-        if let Some(reg) = registry.as_mut() {
-            add_l1_metrics(reg, report.hits, report.misses);
-        }
-        RunResult {
-            bench,
-            variant,
-            tasks: 1,
-            cycles: report.cycles,
-            setup_cycles: setups[0],
-            bus_utilization: 0.0,
+        Costed::Cpu(report) => {
+            if let Some(reg) = registry.as_mut() {
+                add_l1_metrics(reg, report.hits, report.misses);
+            }
+            RunResult {
+                bench,
+                variant,
+                tasks: 1,
+                cycles: report.cycles,
+                setup_cycles: setups[0],
+                bus_utilization: 0.0,
+            }
         }
     };
 
@@ -395,6 +399,34 @@ pub fn run(spec: &RunSpec<'_>) -> Result<RunOutcome, RunError> {
         cache,
         checks_elided,
     })
+}
+
+/// What costing a cell reported, by model.
+enum Costed {
+    Accel(AccelReport),
+    Cpu(CpuReport),
+}
+
+/// Runs task `id`'s kernel on its accelerator FU (`accel`) or on the
+/// CPU, recording into `rec`, and hands `rec` back if the run completed.
+fn run_task<R: Record>(
+    sys: &mut HeteroSystem,
+    id: TaskId,
+    bench: Benchmark,
+    accel: bool,
+    rec: R,
+) -> Result<R, RunError> {
+    let kernel = |eng: &mut dyn Engine| bench.kernel(eng);
+    let (rec, outcome) = if accel {
+        sys.run_accel_task_with(id, rec, kernel)
+    } else {
+        sys.run_cpu_task_with(id, rec, kernel)
+    }
+    .map_err(RunError::Driver)?;
+    match outcome.map_err(RunError::Driver)?.denial {
+        Some(denial) => Err(RunError::Denied(denial)),
+        None => Ok(rec),
+    }
 }
 
 fn add_l1_metrics(reg: &mut Registry, hits: u64, misses: u64) {

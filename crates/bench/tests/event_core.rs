@@ -9,25 +9,33 @@
 //! utilization must be identical on every MachSuite kernel, under bus
 //! faults, and for staggered multi-task mixes. Any wheel event that was
 //! skipped, reordered, or double-counted shows up here as a cycle diff.
+//!
+//! One-task runs have a third core: `StreamCoster` grants each memory op
+//! as the kernel issues it. It is pinned the same way, against both.
 
 use hetsim::timing::{
     simulate_accel_system, simulate_accel_system_naive, AccelReport, AccelTask, AccelTimingConfig,
-    BusConfig,
+    BusConfig, StreamCoster,
 };
-use hetsim::{BusFaultConfig, DirectEngine, TaggedMemory, Trace};
+use hetsim::{BusFaultConfig, MemEngine, Record, TaggedMemory, Trace, Ungated};
 use machsuite::Benchmark;
 
-/// Executes one instance of `bench` functionally and returns its DMA trace.
-fn kernel_trace(bench: Benchmark, seed: u64) -> Trace {
+/// Executes one instance of `bench` functionally, recording into `rec`.
+fn run_kernel<R: Record>(bench: Benchmark, seed: u64, rec: R) -> R {
     let mut mem = TaggedMemory::new(64 << 20);
     let layout = bench.place(0x1000);
     for (obj, image) in bench.init(seed).iter().enumerate() {
         mem.write_bytes(layout.address(obj, 0), image)
             .expect("init data fits its buffer");
     }
-    let mut eng = DirectEngine::new(&mut mem, layout);
+    let mut eng = MemEngine::recording(&mut mem, layout, Ungated, rec);
     bench.kernel(&mut eng).expect("benign kernel executes");
-    eng.into_trace()
+    eng.into_recorder()
+}
+
+/// Executes one instance of `bench` functionally and returns its DMA trace.
+fn kernel_trace(bench: Benchmark, seed: u64) -> Trace {
+    run_kernel(bench, seed, Trace::new())
 }
 
 fn accel_cfg(bench: Benchmark) -> AccelTimingConfig {
@@ -119,6 +127,37 @@ fn wheel_matches_naive_at_eight_tasks() {
             report.bus_utilization > 0.0,
             "{bench} moved no beats at eight tasks"
         );
+    }
+}
+
+/// Every kernel as one task, costed as its kernel issues each op, on a
+/// healthy bus and under bus faults: the report must equal the wheel's
+/// and the naive core's over the recorded trace. Named so the perf-smoke
+/// job can run it next to the wheel cross-checks.
+#[test]
+fn stream_matches_wheel_on_every_kernel() {
+    let faults = BusFaultConfig {
+        stall_every: 7,
+        stall_cycles: 12,
+        drop_every: 11,
+    };
+    let healthy = BusConfig::default().with_checker(1);
+    for bus in [healthy, healthy.with_faults(faults)] {
+        for bench in Benchmark::ALL {
+            let trace = kernel_trace(bench, 0x57E4);
+            let tasks = [AccelTask {
+                trace: &trace,
+                cfg: accel_cfg(bench),
+                start: 150,
+            }];
+            let wheel = assert_cores_agree(bench, &tasks, &bus);
+            let coster = StreamCoster::new(bus, accel_cfg(bench), 150);
+            assert_eq!(
+                run_kernel(bench, 0x57E4, coster).finish(),
+                wheel,
+                "the streamed one-task cost diverged from the wheel on {bench}"
+            );
+        }
     }
 }
 

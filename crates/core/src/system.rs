@@ -1121,6 +1121,31 @@ impl HeteroSystem {
     where
         F: FnOnce(&mut dyn Engine) -> Result<(), ExecFault>,
     {
+        let (trace, outcome) = self.run_cpu_task_with(task, Trace::new(), kernel)?;
+        self.keep_trace(task, trace)?;
+        outcome
+    }
+
+    /// [`HeteroSystem::run_cpu_task`], handing each operation to `rec`
+    /// instead of a kept trace (a [`CpuCoster`](hetsim::timing::CpuCoster)
+    /// times the run without storing it). Hands `rec` back with the run's
+    /// outcome, which is what [`HeteroSystem::run_cpu_task`] returns; the
+    /// task keeps no trace of this run.
+    ///
+    /// # Errors
+    ///
+    /// [`DriverError::UnknownTask`] for dead handles, when the kernel does
+    /// not run at all. How a kernel that ran ended is the outcome.
+    pub fn run_cpu_task_with<R, F>(
+        &mut self,
+        task: TaskId,
+        rec: R,
+        kernel: F,
+    ) -> Result<(R, Result<TaskOutcome, DriverError>), DriverError>
+    where
+        R: Record,
+        F: FnOnce(&mut dyn Engine) -> Result<(), ExecFault>,
+    {
         let layout = self.cpu_layout(task)?;
         self.record(EventKind::DriverPhase {
             task: task.0,
@@ -1131,13 +1156,11 @@ impl HeteroSystem {
             .get(&task)
             .ok_or(DriverError::UnknownTask(task))?;
         let caps = self.config.cheri_cpu.then(|| st.caps.clone());
-        let mut eng = MemEngine::gated(&mut self.mem, layout, CapRegs::new(caps, task));
+        let mut eng = MemEngine::recording(&mut self.mem, layout, CapRegs::new(caps, task), rec);
         let result = kernel(&mut eng);
         let denial = eng.first_denial();
-        let trace = eng.into_trace();
-        let outcome = self.finish_run(task, result, denial);
-        self.keep_trace(task, trace)?;
-        outcome
+        let rec = eng.into_recorder();
+        Ok((rec, self.finish_run(task, result, denial)))
     }
 
     /// The tail both run paths share: drops the task's previous trace,
@@ -1178,7 +1201,8 @@ impl HeteroSystem {
     }
 
     /// The trace recorded by the task's last run (`None` before its first
-    /// run, and after a run through [`HeteroSystem::run_accel_task_with`]).
+    /// run, and after a run through [`HeteroSystem::run_accel_task_with`]
+    /// or [`HeteroSystem::run_cpu_task_with`]).
     ///
     /// # Errors
     ///

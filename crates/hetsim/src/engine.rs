@@ -12,9 +12,9 @@
 //! ([`DirectEngine`]), and the CPU's capability registers or the
 //! accelerator's protection mechanism in the `capchecker` crate. What the
 //! engine records into is a type parameter too: a [`Trace`] by default,
-//! which keeps every op for any timing model, or a
-//! [`LaneFolder`](crate::timing::LaneFolder), which folds each op into the
-//! accelerator event wheel as it happens and keeps nothing else.
+//! which keeps every op for any timing model, or one of the costers in
+//! [`timing`](crate::timing), which cost each op as it happens and keep
+//! nothing else.
 
 use crate::bus::{AccessKind, Denial};
 use crate::memory::{MemError, TaggedMemory};
@@ -386,8 +386,11 @@ impl Gate for Ungated {
 ///
 /// [`Trace`] keeps the ops for any timing model;
 /// [`LaneFolder`](crate::timing::LaneFolder) folds them straight into the
-/// accelerator event wheel. The engine is generic over its recorder, so
-/// the recorder an engine does not use costs it nothing.
+/// accelerator event wheel, and
+/// [`StreamCoster`](crate::timing::StreamCoster) and
+/// [`CpuCoster`](crate::timing::CpuCoster) cost them as they arrive. The
+/// engine is generic over its recorder, so the recorder an engine does
+/// not use costs it nothing.
 pub trait Record {
     /// A memory access of `bytes` at physical `addr` on object `object`.
     fn mem(&mut self, addr: u64, bytes: u16, write: bool, object: u16);
@@ -551,9 +554,7 @@ impl<G: Gate, R: Record> Engine for MemEngine<'_, G, R> {
     ) -> Result<(), ExecFault> {
         let src = self.pass(src_obj, src_off, len, AccessKind::Read)?;
         let dst = self.pass(dst_obj, dst_off, len, AccessKind::Write)?;
-        let mut buf = vec![0u8; len as usize];
-        self.mem.read_bytes(src, &mut buf)?;
-        self.mem.write_bytes(dst, &buf)?;
+        self.mem.copy_within(src, dst, len)?;
         self.rec.copy(src, dst, len);
         Ok(())
     }

@@ -328,6 +328,22 @@ impl TaggedMemory {
         Ok(())
     }
 
+    /// Copies `len` bytes from `src` to `dst` as a *capability-unaware*
+    /// store, with `memmove` semantics (the spans may overlap): the tags
+    /// of every destination granule are cleared, the source's are kept.
+    ///
+    /// # Errors
+    ///
+    /// [`MemError::OutOfRange`] if either span leaves physical memory,
+    /// the source checked first; nothing is written then.
+    pub fn copy_within(&mut self, src: u64, dst: u64, len: u64) -> Result<(), MemError> {
+        let from = self.span(src, len)?;
+        let to = self.dirty_span(dst, len)?;
+        self.data.copy_within(from, to.start);
+        self.clear_tags(dst, len);
+        Ok(())
+    }
+
     /// Reads up to 8 bytes as a little-endian integer.
     ///
     /// # Errors
@@ -596,6 +612,73 @@ mod tests {
     }
 
     #[test]
+    fn overlapping_copies_move_like_memmove() {
+        let mut mem = TaggedMemory::new(1024);
+        let bytes: Vec<u8> = (1..=32).collect();
+        mem.write_bytes(0x100, &bytes).unwrap();
+        // Forward overlap: the destination starts inside the source.
+        mem.copy_within(0x100, 0x108, 32).unwrap();
+        let mut buf = [0u8; 40];
+        mem.read_bytes(0x100, &mut buf).unwrap();
+        assert_eq!(&buf[..8], &bytes[..8]);
+        assert_eq!(&buf[8..], &bytes[..]);
+        // Backward overlap: the source starts inside the destination.
+        mem.copy_within(0x108, 0x104, 32).unwrap();
+        mem.read_bytes(0x104, &mut buf[..32]).unwrap();
+        assert_eq!(&buf[..32], &bytes[..]);
+    }
+
+    #[test]
+    fn copies_clear_destination_tags_and_keep_source_tags() {
+        let mut mem = TaggedMemory::new(1024);
+        let cap = Capability::root().set_bounds(0, 16).unwrap().compress();
+        mem.write_capability(0x40, cap, true).unwrap();
+        mem.write_capability(0x90, cap, true).unwrap();
+        mem.copy_within(0x40, 0x88, 16).unwrap();
+        assert!(mem.tag(0x40), "the source keeps its tag");
+        assert!(
+            !mem.tag(0x80) && !mem.tag(0x90),
+            "a data copy forges no tag"
+        );
+        assert_eq!(mem.tag_count(), 1);
+        let mut moved = [0u8; 16];
+        mem.read_bytes(0x88, &mut moved).unwrap();
+        assert_eq!(moved, cap.bits().to_le_bytes());
+    }
+
+    #[test]
+    fn out_of_range_copies_fail_source_first_and_write_nothing() {
+        let mut mem = TaggedMemory::new(1024);
+        mem.write_bytes(0, &[7; 16]).unwrap();
+        let snapshot = mem.data.clone();
+        assert_eq!(
+            mem.copy_within(1020, 2000, 8),
+            Err(MemError::OutOfRange { addr: 1020, len: 8 })
+        );
+        assert_eq!(
+            mem.copy_within(0, 1020, 8),
+            Err(MemError::OutOfRange { addr: 1020, len: 8 })
+        );
+        assert_eq!(
+            mem.copy_within(u64::MAX, 0, 2),
+            Err(MemError::OutOfRange {
+                addr: u64::MAX,
+                len: 2
+            })
+        );
+        assert_eq!(
+            mem.copy_within(0, u64::MAX, 2),
+            Err(MemError::OutOfRange {
+                addr: u64::MAX,
+                len: 2
+            })
+        );
+        assert!(mem.data == snapshot, "a failed copy wrote");
+        assert_eq!((mem.dirty_lo, mem.dirty_hi), (0, 16));
+        mem.copy_within(1024, 0, 0).unwrap();
+    }
+
+    #[test]
     fn misaligned_capability_access_rejected() {
         let mut mem = TaggedMemory::new(1024);
         assert_eq!(
@@ -709,6 +792,11 @@ mod tests {
             addr: u64,
             len: u64,
         },
+        Copy {
+            src: u64,
+            dst: u64,
+            len: u64,
+        },
         /// A burst of engine stores and a copy with the address lines of
         /// the `at_op`th garbled by the fault injector.
         GarbledDma {
@@ -743,6 +831,11 @@ mod tests {
             (arb_addr(), any::<bool>()).prop_map(|(addr, value)| Op::Flip { addr, value }),
             (arb_addr(), 0u64..4096).prop_map(|(addr, len)| Op::Clear { addr, len }),
             (arb_addr(), 0u64..4096).prop_map(|(addr, len)| Op::Scrub { addr, len }),
+            (arb_addr(), arb_addr(), 0u64..600).prop_map(|(src, dst, len)| Op::Copy {
+                src,
+                dst,
+                len
+            }),
             (0u64..POOLED - 4096, 0u64..6, any::<u64>())
                 .prop_map(|(base, at_op, value)| Op::GarbledDma { base, at_op, value }),
         ]
@@ -768,6 +861,9 @@ mod tests {
             Op::Clear { addr, len } => mem.clear_tags(addr, len),
             Op::Scrub { addr, len } => {
                 let _ = mem.scrub(addr, len);
+            }
+            Op::Copy { src, dst, len } => {
+                let _ = mem.copy_within(src, dst, len);
             }
             Op::GarbledDma { base, at_op, value } => {
                 let mut inner = DirectEngine::new(mem, TaskLayout::new([(base, 4096)]));

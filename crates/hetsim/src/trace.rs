@@ -10,8 +10,8 @@
 //! A trace is one of two feeders of the accelerator event wheel:
 //! [`Trace::replay`] hands its ops to a
 //! [`LaneFolder`](crate::timing::LaneFolder), op by op, as a kernel run
-//! recording straight into the folder would have. Accelerator runs that
-//! need nothing but their timing skip the trace altogether.
+//! recording straight into the folder would have. Runs that need nothing
+//! but their timing skip the trace altogether and record into a coster.
 //!
 //! [`Engine`]: crate::engine::Engine
 

@@ -17,12 +17,14 @@
 //! `LaneFolder` as it happens, and `simulate_accel_system` replays
 //! recorded traces into the same folder. A folder fed op by op, with its
 //! compute arriving in arbitrary pieces, must time exactly what the trace
-//! feeder times.
+//! feeder times. The same holds for the two costers that charge each op
+//! as it arrives: `StreamCoster` on one-task accelerator runs, against
+//! the wheel and the heap core, and `CpuCoster`, against `simulate_cpu`.
 
 use hetsim::timing::{
     simulate_accel_system, simulate_accel_system_naive, simulate_accel_system_naive_prof,
-    simulate_accel_system_prof, simulate_wheel_prof, AccelTask, AccelTimingConfig, BusConfig,
-    Wheel,
+    simulate_accel_system_prof, simulate_cpu_prof, simulate_wheel_prof, AccelTask,
+    AccelTimingConfig, BusConfig, CacheConfig, CpuCoster, CpuTiming, StreamCoster, Wheel,
 };
 use hetsim::{BusFaultConfig, Record, Trace, TraceOp};
 use obs::{NullProfiler, NullTracer, SpanProfiler, TraceBuffer};
@@ -113,6 +115,32 @@ fn arb_faulty_bus() -> impl Strategy<Value = BusConfig> {
             ..bus
         },
     )
+}
+
+/// A CPU model: cycles per unit that do not add up exactly in `f64`, so
+/// costing compute in pieces rounds differently from costing it whole;
+/// a direct-mapped, a two-way or no L1; plain or CHERI.
+fn arb_cpu() -> impl Strategy<Value = CpuTiming> {
+    (0usize..4, 0usize..3, any::<bool>()).prop_map(|(cpi_ix, cache_ix, cheri)| {
+        let timing = CpuTiming {
+            cycles_per_unit: [0.1, 0.3, 0.7, 1.3][cpi_ix],
+            cache: [
+                Some(CacheConfig::direct_mapped(1024, 64)),
+                Some(CacheConfig {
+                    size: 2048,
+                    line: 32,
+                    ways: 2,
+                }),
+                None,
+            ][cache_ix],
+            ..CpuTiming::default()
+        };
+        if cheri {
+            timing.with_cheri()
+        } else {
+            timing
+        }
+    })
 }
 
 /// Feeds `trace` to `rec` the way a kernel run would, one engine call at
@@ -283,5 +311,57 @@ proptest! {
         let wheel = simulate_accel_system(&tasks, &bus);
         prop_assert_eq!(wheel.bus_beats, expected,
             "wheel granted a different number of beats than were registered");
+    }
+
+    /// A one-task run costed as it is issued — compute split into random
+    /// pieces, up to 32 lanes, on healthy and on faulty buses — reports
+    /// what the event wheel and the heap core report for the recorded
+    /// trace.
+    #[test]
+    fn streamed_one_task_run_matches_the_wheel_and_the_heap(
+        trace in arb_trace(),
+        cfg in arb_cfg(),
+        start in arb_start(),
+        bus in prop_oneof![arb_bus(), arb_faulty_bus()],
+        salt in 1u64..u64::MAX,
+    ) {
+        let mut coster = StreamCoster::new(bus, cfg, start);
+        let mut pieces = salt;
+        feed_in_pieces(&trace, &mut pieces, &mut coster);
+        let streamed = coster.finish();
+        let tasks = [AccelTask { trace: &trace, cfg, start }];
+        prop_assert_eq!(&streamed, &simulate_accel_system(&tasks, &bus));
+        prop_assert_eq!(&streamed, &simulate_accel_system_naive(&tasks, &bus));
+    }
+
+    /// A CPU run costed as it happens — compute split into random pieces
+    /// — reports, records and attributes what `simulate_cpu_prof` does
+    /// for the recorded trace, observed or not.
+    #[test]
+    fn cpu_coster_fed_op_by_op_matches_the_trace(
+        trace in arb_trace(),
+        timing in arb_cpu(),
+        salt in 1u64..u64::MAX,
+    ) {
+        let mut pieces = salt;
+        let mut coster = CpuCoster::new(&timing);
+        feed_in_pieces(&trace, &mut pieces, &mut coster);
+        let quiet = coster.finish();
+        prop_assert_eq!(
+            quiet,
+            simulate_cpu_prof(&trace, &timing, &mut NullTracer, &mut NullProfiler)
+        );
+
+        let (mut fed_events, mut traced_events) = (TraceBuffer::new(), TraceBuffer::new());
+        let (mut fed_prof, mut traced_prof) = (SpanProfiler::new(), SpanProfiler::new());
+        let mut pieces = salt;
+        let mut coster = CpuCoster::observed(&timing, &mut fed_events, &mut fed_prof);
+        feed_in_pieces(&trace, &mut pieces, &mut coster);
+        let fed = coster.finish();
+        let traced = simulate_cpu_prof(&trace, &timing, &mut traced_events, &mut traced_prof);
+        prop_assert_eq!(fed, traced);
+        prop_assert_eq!(fed, quiet, "observing changed the report");
+        prop_assert!(fed_events == traced_events, "recorded events differ");
+        prop_assert!(fed_prof.snapshot() == traced_prof.snapshot(), "span profiles differ");
     }
 }
